@@ -472,8 +472,6 @@ def cmd_search(argv):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jitter", type=number, default=0.05)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=0,
-                   help="advisory; the kernels are single-threaded numpy")
     args = p.parse_args(argv)
     started = _now()
     cfg = SearchConfig(d=args.d, theta=args.theta, counts=args.counts,

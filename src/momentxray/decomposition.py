@@ -10,20 +10,13 @@ as zero so the piece count stays bounded on finite grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
-from .exponents import Infinity
+from .exponents import as_float
 from .field import SampledField
 
 J_FLOOR = -40
-
-
-def _as_float(p) -> float:
-    if isinstance(p, Infinity):
-        return np.inf
-    return float(Fraction(p)) if not isinstance(p, float) else p
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,7 @@ def slab_decompose(g: SampledField, r, j_min: int = J_FLOOR):
         raise ValueError("slab_decompose expects a target-side field")
     if np.any(g.values < 0):
         raise ValueError("slab_decompose requires nonnegative values")
-    rf = _as_float(r)
+    rf = as_float(r)
     if rf < 1:
         raise ValueError("r must be >= 1")
     dy = float(np.prod(g.grid.spacing[1:]))
@@ -143,7 +136,7 @@ def trim_frequency(f: SampledField, W: int, p=2):
     pieces = dyadic_decompose(f)
     if not pieces:
         raise ValueError("trim_frequency needs a nonzero field")
-    pf = _as_float(p)
+    pf = as_float(p)
     best_j, best_w = None, -np.inf
     for pc in pieces:  # ascending j, strict > keeps the smaller index on ties
         weight = 2.0 ** (pc.j * pf) * pc.measure

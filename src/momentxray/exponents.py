@@ -68,6 +68,14 @@ def as_exponent(value) -> Exponent:
     return _check_rational(value, "exponent")
 
 
+def as_float(e) -> float:
+    """An exponent as a float: INF becomes math.inf, floats pass through and
+    anything else is float(Fraction(e)).  1/as_float(INF) is 0."""
+    if isinstance(e, Infinity):
+        return math.inf
+    return float(e) if isinstance(e, float) else float(Fraction(e))
+
+
 def inv(e: Exponent) -> Fraction:
     """Reciprocal with the convention 1/inf = 0."""
     if isinstance(e, Infinity):

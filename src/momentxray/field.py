@@ -10,12 +10,12 @@ representable.  Fields are extended by zero outside their box.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
-from .exponents import INF, Infinity
+from .exponents import as_float
 
 _SIDES = ("source", "target")
 
@@ -38,8 +38,10 @@ class Grid:
         object.__setattr__(self, "counts", tuple(int(v) for v in self.counts))
         if not (len(self.origin) == len(self.spacing) == len(self.counts) == self.d):
             raise ValueError("origin, spacing, counts must all have length d")
-        if any(h <= 0 for h in self.spacing):
-            raise ValueError("spacing must be strictly positive")
+        if not all(math.isfinite(h) and h > 0 for h in self.spacing):
+            raise ValueError("spacing must be finite and strictly positive")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError("origin must be finite")
         if any(n < 2 for n in self.counts):
             raise ValueError("counts must be >= 2 on every axis")
 
@@ -144,15 +146,9 @@ def gamma_eval(d: int, t) -> np.ndarray:
     return t[..., None] ** powers
 
 
-def _as_float_exponent(p) -> float:
-    if isinstance(p, Infinity):
-        return np.inf
-    return float(Fraction(p)) if not isinstance(p, float) else p
-
-
 def lp_norm(f: SampledField, p) -> float:
     """Riemann-sum L^p norm; max norm when p is infinite."""
-    pf = _as_float_exponent(p)
+    pf = as_float(p)
     absv = np.abs(f.values)
     if np.isinf(pf):
         return float(absv.max()) if absv.size else 0.0
@@ -163,7 +159,7 @@ def lp_norm(f: SampledField, p) -> float:
 
 def _slice_r_norms(g: SampledField, r) -> np.ndarray:
     """Inner L^r norm over y for each t-slice (axis 0)."""
-    rf = _as_float_exponent(r)
+    rf = as_float(r)
     vals = g.values
     yaxes = tuple(range(1, g.d))
     if np.isinf(rf):
@@ -178,8 +174,8 @@ def mixed_norm(g: SampledField, q, r) -> float:
         raise ValueError("mixed_norm expects a target-side field")
     if np.any(g.values < 0):
         raise ValueError("mixed_norm requires nonnegative values")
-    qf = _as_float_exponent(q)
-    rf = _as_float_exponent(r)
+    qf = as_float(q)
+    rf = as_float(r)
     if (not np.isinf(qf) and qf < 1) or (not np.isinf(rf) and rf < 1):
         raise ValueError("q and r must be >= 1 or inf")
     inner = _slice_r_norms(g, r)
@@ -201,8 +197,8 @@ def lorentz_source_norm(f: SampledField, p, s) -> float:
         raise ValueError("lorentz_source_norm expects a source-side field")
     if np.any(f.values < 0):
         raise ValueError("lorentz_source_norm requires nonnegative values")
-    pf = _as_float_exponent(p)
-    sf = _as_float_exponent(s)
+    pf = as_float(p)
+    sf = as_float(s)
     if pf < 1 or sf < 1:
         raise ValueError("p and s must be >= 1")
     pieces = dyadic_decompose(f)
@@ -220,7 +216,7 @@ def lorentz_mixed_norm(g: SampledField, q, s, r) -> float:
         raise ValueError("lorentz_mixed_norm expects a target-side field")
     if np.any(g.values < 0):
         raise ValueError("lorentz_mixed_norm requires nonnegative values")
-    sf = _as_float_exponent(s)
+    sf = as_float(s)
     if sf < 1:
         raise ValueError("s must be >= 1")
     slabs = slab_decompose(g, r)

@@ -2,11 +2,14 @@
 
 A paraball B(s0, t0, ybar, alpha, beta) is the image of the unit box under
 the symmetry Scale(alpha, beta) then Shear(s0, t0) then Translate(ybar).
-Its primal shadow lives on the source side and its dual shadow B* on the
-target side; both are described by band inequalities below.  The module
-also provides delta-partitions into congruent small paraballs, the mock
-distance between paraballs, Monte Carlo intersection volume, the
-quasi-extremal ratio, and a fitter that localizes a near-extremal pair.
+Every composition of generators has this normal form, read off from the
+group action on the origin.  Its primal shadow lives on the source side and
+its dual shadow B* on the target side; both are described by band
+inequalities below.  The module also provides delta-partitions into
+congruent small paraballs (the members are the base paraball's images of
+the unit-frame net centres), the mock distance between paraballs, Monte
+Carlo intersection volume, the quasi-extremal ratio, and a fitter that
+localizes a near-extremal pair.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 
 from .exponents import Infinity, conj_exponent, inv, triple_for_theta
 from .field import Grid, SampledField, gamma_eval, lp_norm, mixed_norm
-from .symmetry import (Scale, Shear, Symmetry, Translate, inverse, map_source,
-                       map_target, shear_matrix)
+from .symmetry import (Scale, Shear, Symmetry, Translate, _pack, inverse,
+                       map_source, map_target, shear_matrix)
 from .xray import TransformPlan, bilinear
 
 
@@ -33,12 +36,15 @@ class Paraball:
     beta: float
 
     def __post_init__(self):
-        yb = tuple(float(c) for c in np.atleast_1d(np.asarray(self.ybar, float)))
+        yb = tuple(np.atleast_1d(np.asarray(self.ybar, float)).tolist())
         object.__setattr__(self, "ybar", yb)
         object.__setattr__(self, "s0", float(self.s0))
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
+        if not all(map(math.isfinite,
+                       (self.s0, self.t0, self.alpha, self.beta) + yb)):
+            raise ValueError("paraball parameters must be finite")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("paraball widths alpha, beta must be positive")
         if len(self.ybar) < 2:
@@ -63,41 +69,57 @@ def _band_widths(B: Paraball) -> np.ndarray:
 
 
 def _pack_points(point, d: int) -> np.ndarray:
-    if isinstance(point, tuple) and len(point) == 2:
-        s, x = point
-        return np.concatenate([[float(s)], np.atleast_1d(np.asarray(x, float))])
-    pts = np.asarray(point, dtype=float)
+    pts = _pack(point)
     if pts.shape[-1] != d:
         raise ValueError(f"points must have last axis {d}, got {pts.shape}")
     return pts
 
 
-def membership(B: Paraball, point, side: str = "primal"):
-    """Strict slab condition on the first coordinate, closed band conditions.
+def _band_coords(lead, rest, s0, t0, ybar, side: str):
+    """Slab offset and band coordinates in the frame centred at (s0, t0, ybar).
 
-    Primal points are (s, x); the bands constrain Q = G_{-t0}(x - ybar
-    - s gamma(t0)).  Dual points are (t, y); the bands constrain
-    P_m = [G_{-t0}(y - ybar)]_m + s0 (t - t0)^m.
+    Primal points (s, x) give s - s0 and Q = G_{-t0}(x - ybar - s gamma(t0));
+    dual points (t, y) give t - t0 and P_m = [G_{-t0}(y - ybar)]_m
+    + s0 (t - t0)^m.  The centre is scalars or per-point arrays, so G_{-t0}
+    is applied as its binomial sum rather than as a matrix.
     """
-    d = B.d
-    z = _pack_points(point, d)
-    scalar = z.ndim == 1
-    lead, rest = z[..., 0], z[..., 1:]
-    G = shear_matrix(d, -B.t0).entries
-    bands = _band_widths(B)
-    yb = np.asarray(B.ybar)
+    d = np.shape(rest)[-1] + 1
     if side == "primal":
-        v = rest - yb - lead[..., None] * gamma_eval(d, B.t0)
-        Q = v @ G.T
-        ok = np.abs(lead - B.s0) < B.alpha
-        ok &= np.all(np.abs(Q) <= bands, axis=-1)
+        slab = lead - s0
+        v = rest - ybar - np.asarray(lead)[..., None] * gamma_eval(d, t0)
     elif side == "dual":
-        P = (rest - yb) @ G.T + B.s0 * gamma_eval(d, lead - B.t0)
-        ok = np.abs(lead - B.t0) < B.beta
-        ok &= np.all(np.abs(P) <= bands, axis=-1)
+        slab = lead - t0
+        v = rest - ybar
     else:
         raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
-    return bool(ok) if scalar else ok
+    cols = []
+    for m in range(1, d):
+        acc = sum(math.comb(m, i) * (-t0) ** (m - i) * v[..., i - 1]
+                  for i in range(1, m + 1))
+        if side == "dual":
+            acc = acc + s0 * slab ** m
+        cols.append(acc)
+    return slab, np.stack(cols, axis=-1)
+
+
+def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str):
+    """Strict slab condition on the lead coordinate, closed band conditions."""
+    slab, Q = _band_coords(lead, rest, s0, t0, ybar, side)
+    ok = np.abs(slab) < (alpha if side == "primal" else beta)
+    bands = alpha * beta ** np.arange(1, Q.shape[-1] + 1)
+    return ok & np.all(np.abs(Q) <= bands, axis=-1)
+
+
+def membership(B: Paraball, point, side: str = "primal"):
+    """Whether primal points (s, x) or dual points (t, y) lie in B's shadow.
+
+    The slab condition on the first coordinate is strict and the band
+    conditions (see _band_coords) are closed.
+    """
+    z = _pack_points(point, B.d)
+    ok = _inside(z[..., 0], z[..., 1:], B.s0, B.t0, np.asarray(B.ybar),
+                 B.alpha, B.beta, side)
+    return bool(ok) if z.ndim == 1 else ok
 
 
 def volume(B: Paraball) -> float:
@@ -130,33 +152,12 @@ def to_symmetry(B: Paraball) -> Symmetry:
                      Translate(B.ybar)))
 
 
-def _reduce_steps(d: int, steps):
-    """Fold generator steps (applied first-to-last) into T_w H_{s0,t0} D_{a,b}."""
-    w = np.zeros(d - 1)
-    s0 = t0 = 0.0
-    al = be = 1.0
-    for st in steps:
-        if isinstance(st, Translate):
-            w = w + np.asarray(st.v)
-        elif isinstance(st, Shear):
-            G = shear_matrix(d, st.t0).entries
-            w = G @ w + st.s0 * (gamma_eval(d, st.t0)
-                                 - gamma_eval(d, st.t0 + t0))
-            s0 += st.s0
-            t0 += st.t0
-        elif isinstance(st, Scale):
-            w = st.alpha * st.beta ** np.arange(1, d) * w
-            s0 *= st.alpha
-            t0 *= st.beta
-            al *= st.alpha
-            be *= st.beta
-        else:
-            raise TypeError(f"unknown generator {st!r}")
-    return w, s0, t0, al, be
-
-
 def from_symmetry(sigma: Symmetry, d: int | None = None) -> Paraball:
-    """Paraball whose unit-box map equals sigma (after normal-form reduction)."""
+    """Paraball whose unit-box map equals sigma.
+
+    The normal form is read off the group action: (s0, x) and (t0, ybar)
+    are the images of the origin and alpha, beta multiply sigma's scales.
+    """
     if d is None:
         for st in sigma.steps:
             if isinstance(st, Translate):
@@ -164,8 +165,12 @@ def from_symmetry(sigma: Symmetry, d: int | None = None) -> Paraball:
                 break
         else:
             raise ValueError("cannot infer dimension; pass d explicitly")
-    w, s0, t0, al, be = _reduce_steps(d, sigma.steps)
-    return Paraball(s0, t0, tuple(w), al, be)
+    origin = np.zeros(d)
+    target = map_target(sigma, origin)
+    scales = [st for st in sigma.steps if isinstance(st, Scale)]
+    return Paraball(map_source(sigma, origin)[0], target[0], target[1:],
+                    math.prod(st.alpha for st in scales),
+                    math.prod(st.beta for st in scales))
 
 
 def conjugate(sigma: Symmetry, B: Paraball) -> Paraball:
@@ -275,8 +280,10 @@ class Cover:
     """delta-partition of a paraball into congruent members.
 
     Members are indexed (i, j, k) over the y, s and t nets of the unit
-    frame, flattened as (i * n_s + j) * n_t + k, and live in the parent's
-    coordinates.
+    frame, flattened as (i * n_s + j) * n_t + k.  Member (i, j, k) is the
+    base paraball's image of the unit-frame paraball centred at the net
+    point (s_j, t_k, y_i) with widths (2 eta1, 2 eta2), so members live in
+    the parent's coordinates.
     """
 
     base: Paraball
@@ -297,57 +304,28 @@ class Cover:
         return {"s": len(self.s_net), "t": len(self.t_net),
                 "y": len(self.y_net), "members": len(self.members)}
 
-    def _unit_member_check(self, lead, rest, sj, tk, yi, side):
-        d = self.base.d
-        a, b = 2.0 * self.eta1, 2.0 * self.eta2
-        bands = a * b ** np.arange(1, d)
-        if side == "primal":
-            ok = np.abs(lead - sj) < a
-            v = rest - yi - lead[:, None] * gamma_eval(d, tk)
-        else:
-            ok = np.abs(lead - tk) < b
-            v = rest - yi
-        Q = np.empty_like(v)
-        for m in range(1, d):
-            acc = np.zeros(lead.shape)
-            for i in range(1, m + 1):
-                acc += math.comb(m, i) * (-tk) ** (m - i) * v[:, i - 1]
-            if side == "dual":
-                acc += sj * (lead - tk) ** m
-            Q[:, m - 1] = acc
-        ok &= np.all(np.abs(Q) <= bands, axis=1)
-        return ok
-
     def contains(self, points, side: str = "primal") -> np.ndarray:
         """Whether each point lies in the union of members (per-side shadow)."""
+        if side not in ("primal", "dual"):
+            raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
         d = self.base.d
         z = np.atleast_2d(_pack_points(points, d))
         u = (map_source if side == "primal" else map_target)(
             inverse(to_symmetry(self.base), d), z)
         lead, rest = u[:, 0], u[:, 1:]
-        if side == "primal":
-            i = self._y_index.query(rest)
-            j = self._s_index.query(lead)
-            k = np.zeros(lead.shape[0], dtype=np.int64)
-        elif side == "dual":
-            i = self._y_index.query(rest)
-            j = np.zeros(lead.shape[0], dtype=np.int64)
-            k = self._t_index.query(lead)
-        else:
-            raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
-        ok = self._unit_member_check(lead, rest, self.s_net[j], self.t_net[k],
-                                     self.y_net[i], side)
-        miss = np.flatnonzero(~ok)
-        if miss.size:  # rare: scan every member for the leftovers
-            S = np.repeat(self.s_net, len(self.t_net))
-            T = np.tile(self.t_net, len(self.s_net))
-            for idx in miss:
-                l1 = np.repeat(lead[idx], len(S))
-                r1 = np.repeat(rest[idx][None, :], len(S), axis=0)
-                for yi in self.y_net:
-                    if self._unit_member_check(l1, r1, S, T, yi, side).any():
-                        ok[idx] = True
-                        break
+        a, b = 2.0 * self.eta1, 2.0 * self.eta2
+        first = np.zeros(lead.shape[0], dtype=np.int64)
+        i = self._y_index.query(rest)
+        j = self._s_index.query(lead) if side == "primal" else first
+        k = first if side == "primal" else self._t_index.query(lead)
+        ok = _inside(lead, rest, self.s_net[j], self.t_net[k], self.y_net[i],
+                     a, b, side)
+        # points the lattice lookup misses: scan every member
+        S = np.repeat(self.s_net, len(self.t_net))
+        T = np.tile(self.t_net, len(self.s_net))
+        for idx in np.flatnonzero(~ok):
+            ok[idx] = any(_inside(lead[idx], rest[idx], S, T, yi, a, b,
+                                  side).any() for yi in self.y_net)
         return ok
 
 
@@ -356,7 +334,8 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
 
     eta2 = delta^{(1/r + 1/(r'd)) / (1/q' + (d-1)/(2r'))} and
     eta1 = delta^{1/d} eta2^{-(d-1)/2}; members have widths (2 eta1, 2 eta2)
-    in the unit frame and are conjugated back by to_symmetry(B).
+    in the unit frame, centred at the net points, and are mapped back by
+    to_symmetry(B).
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
@@ -374,31 +353,26 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     s_net = _Net(1, eta1)
     t_net = _Net(1, eta2)
     y_net = _Net(d - 1, eta1 * eta2 ** d)
-    base_steps = to_symmetry(B).steps
-    members = []
-    for yi in y_net.points:
-        for sj in s_net.points[:, 0]:
-            for tk in t_net.points[:, 0]:
-                steps = (Scale(2 * eta1, 2 * eta2), Shear(float(sj), float(tk)),
-                         Translate(tuple(yi))) + base_steps
-                w, s0, t0, al, be = _reduce_steps(d, steps)
-                members.append(Paraball(s0, t0, tuple(w), al, be))
+    s, t, y = s_net.points[:, 0], t_net.points[:, 0], y_net.points
+    i, j, k = np.indices((len(y), len(s), len(t))).reshape(3, -1)
+    S, T, Y = s[j], t[k], y[i]
+    # the unit-frame member centred at (s_j, t_k, y_i) maps the origin to
+    # (s_j, y_i + s_j gamma(t_k)) and (t_k, y_i); its image under B's
+    # symmetry reads off the member's normal form as in from_symmetry
+    sigma = to_symmetry(B)
+    src = map_source(sigma, np.column_stack(
+        [S, Y + S[:, None] * gamma_eval(d, T)]))
+    tgt = map_target(sigma, np.column_stack([T, Y]))
+    alpha, beta = 2 * eta1 * B.alpha, 2 * eta2 * B.beta
+    members = tuple(Paraball(s0, t0, yb, alpha, beta)
+                    for s0, t0, yb in zip(src[:, 0], tgt[:, 0], tgt[:, 1:]))
     return Cover(base=B, delta=float(delta), theta=theta, eta1=eta1, eta2=eta2,
-                 members=tuple(members),
-                 s_net=s_net.points[:, 0], t_net=t_net.points[:, 0],
-                 y_net=y_net.points,
+                 members=members, s_net=s, t_net=t, y_net=y,
                  _s_index=s_net, _t_index=t_net, _y_index=y_net)
 
 
 # ---------------------------------------------------------------------------
 # mock distance and intersections
-
-
-def _center_poly_dual(Ba: Paraball, t: float, y: np.ndarray) -> np.ndarray:
-    """P-coordinates of (t, y) in Ba's dual frame."""
-    d = Ba.d
-    G = shear_matrix(d, -Ba.t0).entries
-    return G @ (y - np.asarray(Ba.ybar)) + Ba.s0 * gamma_eval(d, t - Ba.t0)
 
 
 def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
@@ -422,7 +396,9 @@ def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
         return float(np.sum(np.abs(G @ v) / _band_widths(A)))
 
     def dual_offset(A, Bo):
-        p = _center_poly_dual(A, Bo.t0, np.asarray(Bo.ybar))
+        # band coordinates of Bo's dual centre (t0, ybar) in A's dual frame
+        _, p = _band_coords(Bo.t0, np.asarray(Bo.ybar), A.s0, A.t0,
+                            np.asarray(A.ybar), "dual")
         return float(np.sum(np.abs(p) / _band_widths(A)))
 
     # mirrored offsets are paired before accumulating so the sum is exactly

@@ -10,15 +10,16 @@ nondecreasing up to the damping tolerance.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .exponents import Infinity, conj_exponent, triple_for_theta
-from .field import (SampledField, grid_from_box, lp_norm, mixed_norm,
-                    write_field)
+from .exponents import Infinity, as_float, conj_exponent, triple_for_theta
+from .field import (SampledField, _slice_r_norms, grid_from_box, lp_norm,
+                    mixed_norm, write_field)
 from .paraball import raster_primal, unit_paraball
 from .symmetry import normalize_symmetry, pullback_source
 from .xray import TransformPlan, apply_X, apply_X_star
@@ -89,15 +90,12 @@ def dual_map(h: SampledField, q, r) -> SampledField:
     """
     if h.side != "target":
         raise ValueError("dual_map expects a target-side field")
-    qf, rf = float(Fraction(q)), float(Fraction(r))
-    if qf <= 1 or rf <= 1:
+    qf, rf = as_float(q), as_float(r)
+    if not (1 < qf < math.inf and 1 < rf < math.inf):
         raise ValueError("dual_map needs finite q, r > 1")
-    dy = float(np.prod(h.grid.spacing[1:]))
-    dt = h.grid.spacing[0]
     av = np.abs(h.values)
-    yaxes = tuple(range(1, h.d))
-    slice_r = ((av ** rf).sum(axis=yaxes) * dy) ** (1.0 / rf)
-    N = ((slice_r ** qf).sum() * dt) ** (1.0 / qf)
+    slice_r = _slice_r_norms(h.with_values(av), rf)
+    N = ((slice_r ** qf).sum() * h.grid.spacing[0]) ** (1.0 / qf)
     if N == 0:
         raise ValueError("dual_map needs a nonzero field")
     fac = np.where(slice_r > 0, slice_r, 1.0) ** (qf - rf)
@@ -114,18 +112,23 @@ def _unit_p(f: SampledField, p) -> SampledField:
     return f.with_values(f.values / n)
 
 
+def _evaluate(f: SampledField, plan: TransformPlan, trip,
+              it: int = 0) -> SearchState:
+    """State at f normalized in L^p: h = Xf, Phi = |h|_{q,r} and g the dual
+    map of h."""
+    f = _unit_p(f, trip.p)
+    h = apply_X(f, plan)
+    return SearchState(it=it, f=f, g=dual_map(h, trip.q, trip.r), h=h,
+                       phi=mixed_norm(h, trip.q, trip.r))
+
+
 def init_state(cfg: SearchConfig) -> SearchState:
     """Jittered unit-paraball indicator, normalized, with its dual pair."""
     plan = cfg.plan()
-    trip = cfg.exponents()
     rng = np.random.default_rng(cfg.seed)
     base = raster_primal(unit_paraball(cfg.d), plan.source_grid)
     vals = base.values * (1.0 + cfg.jitter * rng.random(base.values.shape))
-    f = _unit_p(base.with_values(vals), trip.p)
-    h = apply_X(f, plan)
-    phi = mixed_norm(h, trip.q, trip.r)
-    g = dual_map(h, trip.q, trip.r)
-    return SearchState(it=0, f=f, g=g, h=h, phi=phi)
+    return _evaluate(base.with_values(vals), plan, cfg.exponents())
 
 
 def ascent_step(state: SearchState, cfg: SearchConfig) -> SearchState:
@@ -133,26 +136,21 @@ def ascent_step(state: SearchState, cfg: SearchConfig) -> SearchState:
     iterate if Phi would drop by more than the slack."""
     plan = cfg.plan()
     trip = cfg.exponents()
-    pf = float(trip.p)
-    expo = 1.0 / (pf - 1.0)
+    it = state.it + 1
+    expo = 1.0 / (float(trip.p) - 1.0)
     u = apply_X_star(state.g, plan)
     raw = np.clip(u.values, 0.0, None) ** expo
     if not raw.any():
-        return replace(state, it=state.it + 1, renorm_applied=False)
-    cand = _unit_p(state.f.with_values(raw), trip.p)
-    h = apply_X(cand, plan)
-    phi = mixed_norm(h, trip.q, trip.r)
+        return replace(state, it=it, renorm_applied=False)
+    cand = _evaluate(state.f.with_values(raw), plan, trip, it)
     tries = 0
-    while phi < state.phi - PHI_SLACK and tries < 3:
-        cand = _unit_p(state.f.with_values(0.5 * (state.f.values + cand.values)),
-                       trip.p)
-        h = apply_X(cand, plan)
-        phi = mixed_norm(h, trip.q, trip.r)
+    while cand.phi < state.phi - PHI_SLACK and tries < 3:
+        mid = 0.5 * (state.f.values + cand.f.values)
+        cand = _evaluate(state.f.with_values(mid), plan, trip, it)
         tries += 1
-    if phi < state.phi - PHI_SLACK:
-        cand, h, phi = state.f, state.h, state.phi
-    g = dual_map(h, trip.q, trip.r)
-    return SearchState(it=state.it + 1, f=cand, g=g, h=h, phi=phi)
+    if cand.phi < state.phi - PHI_SLACK:
+        return replace(state, it=it, renorm_applied=False)
+    return cand
 
 
 def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
@@ -166,21 +164,17 @@ def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
     vals = np.clip(moved.values, 0.0, None)
     if not vals.any():
         return state
-    f = _unit_p(moved.with_values(vals), trip.p)
-    h = apply_X(f, plan)
-    phi = mixed_norm(h, trip.q, trip.r)
-    if phi < state.phi - PHI_SLACK:
+    cand = _evaluate(moved.with_values(vals), plan, trip, state.it)
+    if cand.phi < state.phi - PHI_SLACK:
         return state
-    g = dual_map(h, trip.q, trip.r)
-    return SearchState(it=state.it, f=f, g=g, h=h, phi=phi,
-                       renorm_applied=True)
+    return replace(cand, renorm_applied=True)
 
 
 def _normalized_profile(f: SampledField, p):
     """Weights |f|^p dV and keys max(|z|, |f|/|f|_p) after re-centering."""
     sig = normalize_symmetry(f, p)
     fn = pullback_source(sig, f, p, out_grid=f.grid) if sig.steps else f
-    pf = float(Fraction(p)) if not isinstance(p, float) else p
+    pf = as_float(p)
     av = np.abs(fn.values).ravel()
     w = av ** pf * fn.grid.cell_volume
     tot = w.sum()

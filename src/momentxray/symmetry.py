@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import Grid, SampledField, gamma_eval, grid_from_box, interpolate
-from .exponents import Infinity
+from .exponents import Infinity, as_float
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class Translate:
 
     def __post_init__(self):
         object.__setattr__(self, "v", tuple(float(c) for c in np.atleast_1d(self.v)))
+        if not all(map(math.isfinite, self.v)):
+            raise ValueError("translation must be finite")
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,20 @@ class Scale:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("scale factors must be strictly positive")
+        if not all(math.isfinite(c) and c > 0
+                   for c in (self.alpha, self.beta)):
+            raise ValueError(
+                "scale factors must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
 class Shear:
     s0: float
     t0: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.s0) and math.isfinite(self.t0)):
+            raise ValueError("shear parameters must be finite")
 
 
 @dataclass(frozen=True)
@@ -185,9 +193,7 @@ def target_factors(sigma: Symmetry, d: int):
 
 def _conj_inv(e) -> float:
     """1/e' as a float, with 1/inf = 0."""
-    if isinstance(e, Infinity):
-        return 1.0
-    return 1.0 - 1.0 / float(e)
+    return 1.0 - 1.0 / as_float(e)
 
 
 def _preimage_grid(sigma: Symmetry, grid: Grid, target_side: bool) -> Grid:
@@ -212,8 +218,7 @@ def pullback_source(sigma: Symmetry, f: SampledField, p,
         return f
     grid = out_grid or _preimage_grid(sigma, f.grid, target_side=False)
     pts = map_source(sigma, grid.nodes())
-    pexp = 0.0 if isinstance(p, Infinity) else 1.0 / float(p)
-    jac = source_jacobian(sigma, f.d) ** pexp
+    jac = source_jacobian(sigma, f.d) ** (1.0 / as_float(p))
     return SampledField(grid=grid, values=jac * interpolate(f, pts))
 
 

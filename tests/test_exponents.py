@@ -12,6 +12,7 @@ from momentxray.exponents import (
     Infinity,
     ExponentTriple,
     as_exponent,
+    as_float,
     balance_ratio,
     conj_exponent,
     conjugate,
@@ -24,6 +25,15 @@ from momentxray.exponents import (
 )
 
 F = Fraction
+
+
+class TestAsFloat:
+    def test_values(self):
+        assert as_float(INF) == math.inf
+        assert 1.0 / as_float(INF) == 0.0
+        assert as_float(F(3, 2)) == 1.5
+        assert as_float(2) == 2.0
+        assert as_float(0.25) == 0.25
 
 
 class TestInfinity:

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentxray.field import grid_from_box, lp_norm, mixed_norm, SampledField
+from momentxray.field import (Grid, grid_from_box, lp_norm, mixed_norm,
+                              SampledField)
 from momentxray.paraball import (
     Cover,
     Paraball,
@@ -34,8 +35,10 @@ from momentxray.symmetry import (
     Shear,
     Symmetry,
     Translate,
+    compose,
     identity,
     map_source,
+    map_target,
     pullback_source,
     pullback_target,
 )
@@ -166,6 +169,77 @@ class TestSymmetryBridge:
         pts = sample_points(unit_paraball(D), 10_000, rng, "primal")
         mapped = map_source(to_symmetry(B), pts)
         assert membership(B, mapped, "primal").all()
+
+
+def _corners(d):
+    g = np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij")
+    return np.stack(g, axis=-1).reshape(-1, d)
+
+
+def _same_unit_box_maps(sig_a, sig_b, d, tol):
+    C = _corners(d)
+    for fmap in (map_source, map_target):
+        assert np.allclose(fmap(sig_a, C), fmap(sig_b, C), rtol=0, atol=tol)
+
+
+class TestGroupAction:
+    def test_from_symmetry_reproduces_corner_images(self):
+        rng = np.random.default_rng(29)
+        for d in (3, 4):
+            for _ in range(100):
+                steps = []
+                for _ in range(int(rng.integers(1, 7))):
+                    kind = int(rng.integers(0, 3))
+                    if kind == 0:
+                        steps.append(Translate(tuple(rng.uniform(-1, 1, d - 1))))
+                    elif kind == 1:
+                        steps.append(Scale(float(rng.uniform(0.5, 2.0)),
+                                           float(rng.uniform(0.5, 2.0))))
+                    else:
+                        steps.append(Shear(float(rng.uniform(-1, 1)),
+                                           float(rng.uniform(-1, 1))))
+                sig = Symmetry(tuple(steps))
+                B = from_symmetry(sig, d)
+                C = _corners(d)
+                for fmap in (map_source, map_target):
+                    want = fmap(sig, C)
+                    got = fmap(to_symmetry(B), C)
+                    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("d,delta", [(3, 0.5), (3, 0.25), (4, 0.5)])
+    def test_members_are_base_images_of_unit_frame_members(self, d, delta):
+        rng = np.random.default_rng(31)
+        B = Paraball(float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.8, 0.8)),
+                     tuple(rng.uniform(-1.0, 1.0, d - 1)),
+                     float(rng.uniform(0.6, 1.4)), float(rng.uniform(0.6, 1.4)))
+        cover = partition(B, delta, THETA)
+        shape = (len(cover.y_net), len(cover.s_net), len(cover.t_net))
+        n = len(cover.members)
+        picks = rng.choice(n, size=min(n, 200), replace=False)
+        for idx in picks:
+            i, j, k = np.unravel_index(idx, shape)
+            unit = Paraball(cover.s_net[j], cover.t_net[k], cover.y_net[i],
+                            2 * cover.eta1, 2 * cover.eta2)
+            composed = compose(to_symmetry(B), to_symmetry(unit))
+            _same_unit_box_maps(to_symmetry(cover.members[idx]), composed, d,
+                                1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Grid(3, "source", (0, 0, 0), (math.nan, 1, 1), (4, 4, 4)),
+    lambda: Grid(3, "source", (math.inf, 0, 0), (1, 1, 1), (4, 4, 4)),
+    lambda: Paraball(0.0, 0.0, (0.0, 0.0), math.nan, 1.0),
+    lambda: Paraball(math.inf, 0.0, (0.0, 0.0), 1.0, 1.0),
+    lambda: Scale(math.inf, 1),
+    lambda: Scale(math.nan, 1),
+    lambda: Translate((math.nan, 0)),
+    lambda: Shear(math.nan, 0),
+], ids=["grid-nan-spacing", "grid-inf-origin", "paraball-nan-alpha",
+        "paraball-inf-s0", "scale-inf", "scale-nan", "translate-nan",
+        "shear-nan"])
+def test_constructors_reject_nonfinite(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestPartition:

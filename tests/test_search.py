@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from momentxray.exponents import INF
 from momentxray.field import SampledField, lp_norm, mixed_norm
 from momentxray.search import (
     PHI_SLACK,
@@ -72,6 +73,12 @@ class TestDualMap:
         h = target_field(4, 3)
         with pytest.raises(ValueError):
             dual_map(h, 1, 2)
+
+    def test_infinite_exponent_rejected(self):
+        h = target_field(4, 3)
+        for q, r in [(INF, 2), (2, INF)]:
+            with pytest.raises(ValueError, match="finite q, r > 1"):
+                dual_map(h, q, r)
 
     def test_source_side_rejected(self):
         g = box_grid("source", 0, 1, 4)
