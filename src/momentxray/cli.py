@@ -1,10 +1,17 @@
 """Command line front end.
 
-One subcommand per capability; every run writes a JSON manifest echoing the
-tool version, the argv, the parsed configuration, the seed when one is in
-play, and sha256 digests of every file the run produced.  Exponent-like
-inputs are exact rationals (num/den); decimal points there are rejected so
-printed exponents stay exact.  Unknown or missing subcommands exit 64.
+One subcommand per capability.  A subcommand only adds its arguments,
+parses, computes and prints; it returns ``(args, outputs, exit_code)``.
+``main`` frames every run: it builds the parser with ``--manifest``, stamps
+the start time, and after the subcommand returns writes the one JSON
+manifest, echoing the tool version, the argv, the parsed configuration, the
+seed when one is in play, and sha256 digests of every file the run produced.
+Exponent-like inputs are exact rationals (num/den); decimal points there are
+rejected so printed exponents stay exact.  Exit codes: 0 success, 1 a failed
+``diagnose`` check, 2 an argparse usage error or an unconverged ``search``,
+64 a missing or unknown subcommand, 65 bad data (ValueError), 66 an
+unreadable or missing file (OSError).  Errors print one line on stderr and
+write no manifest.
 """
 
 from __future__ import annotations
@@ -162,7 +169,7 @@ def write_manifest(path, command, args_ns, outputs, seed=None,
         "config": config,
         "seed": seed,
         "startedAt": started,
-        "finishedAt": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "finishedAt": _now(),
         "outputs": digests,
     }
     with open(path, "w") as fh:
@@ -170,29 +177,29 @@ def write_manifest(path, command, args_ns, outputs, seed=None,
         fh.write("\n")
 
 
-def _parser(name: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"momentxray {name}")
-    p.add_argument("--manifest", default="momentxray_run.json",
-                   help="where to write the run manifest")
-    return p
-
-
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _write_csv(path, header, rows) -> None:
+    """Comma-separated table; float cells use the printed 12-digit form."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (parsed args, output paths, exit code)
 
 
-def cmd_exponents(argv):
-    p = _parser("exponents")
+def cmd_exponents(p, argv):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--theta", type=rational, required=True)
     p.add_argument("--constants", action="store_true",
                    help="also print the interpolation constants a,b,c,d")
     args = p.parse_args(argv)
-    started = _now()
     trip = triple_for_theta(args.d, args.theta)
     print(f"p={_fraction_str(trip.p)} q={_fraction_str(trip.q)}"
           f" r={_fraction_str(trip.r)}")
@@ -204,20 +211,16 @@ def cmd_exponents(argv):
         for name in ("a0", "a1", "b", "c0", "c1", "d0", "d1"):
             print(f"{name}={_fraction_str(getattr(ic, name))}")
         print(f"theta0={t0}")
-    write_manifest(args.manifest, ["exponents"] + argv, args, [],
-                   started=started)
-    return 0
+    return args, [], 0
 
 
-def cmd_norm(argv):
-    p = _parser("norm")
+def cmd_norm(p, argv):
     p.add_argument("--field", required=True)
     p.add_argument("--p", type=exponent)
     p.add_argument("--q", type=exponent)
     p.add_argument("--r", type=exponent)
     p.add_argument("--s", type=exponent, help="Lorentz second index")
     args = p.parse_args(argv)
-    started = _now()
     f = read_field(args.field)
     if f.side == "source":
         if args.p is None:
@@ -233,12 +236,10 @@ def cmd_norm(argv):
             print(f"lorentz={_fmt(lorentz_mixed_norm(f, args.q, args.s, args.r))}")
         else:
             print(f"mixed={_fmt(mixed_norm(f, args.q, args.r))}")
-    write_manifest(args.manifest, ["norm"] + argv, args, [], started=started)
-    return 0
+    return args, [], 0
 
 
-def cmd_transform(argv):
-    p = _parser("transform")
+def cmd_transform(p, argv):
     p.add_argument("--field", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--direction", choices=["forward", "adjoint"],
@@ -248,7 +249,6 @@ def cmd_transform(argv):
     p.add_argument("--lo", type=number, default=None)
     p.add_argument("--hi", type=number, default=None)
     args = p.parse_args(argv)
-    started = _now()
     f = read_field(args.field)
     lo_in, hi_in = f.grid.box()
     lo = args.lo if args.lo is not None else float(np.min(lo_in))
@@ -268,13 +268,10 @@ def cmd_transform(argv):
         out = apply_X_star(f, plan)
     write_field(out, args.out)
     print(f"wrote {args.out}")
-    write_manifest(args.manifest, ["transform"] + argv, args, [args.out],
-                   started=started)
-    return 0
+    return args, [args.out], 0
 
 
-def cmd_symmetry(argv):
-    p = _parser("symmetry")
+def cmd_symmetry(p, argv):
     p.add_argument("--field", required=True)
     p.add_argument("--out")
     p.add_argument("--step", type=step_spec, action="append", default=[],
@@ -285,36 +282,30 @@ def cmd_symmetry(argv):
     p.add_argument("--normalize", action="store_true",
                    help="print the re-centering symmetry of the field")
     args = p.parse_args(argv)
-    started = _now()
     f = read_field(args.field)
-    outputs = []
     if args.normalize:
         if f.side != "source" or args.p is None:
             p.error("--normalize needs a source-side field and --p")
         sig = normalize_symmetry(f, args.p)
         print(json.dumps([_jsonable(s) for s in sig.steps]))
+        return args, [], 0
+    sig = Symmetry(tuple(args.step))
+    if f.side == "source":
+        if args.p is None:
+            p.error("source-side pullback needs --p")
+        out = pullback_source(sig, f, args.p)
     else:
-        sig = Symmetry(tuple(args.step))
-        if f.side == "source":
-            if args.p is None:
-                p.error("source-side pullback needs --p")
-            out = pullback_source(sig, f, args.p)
-        else:
-            if args.q is None or args.r is None:
-                p.error("target-side pullback needs --q and --r")
-            out = pullback_target(sig, f, args.q, args.r)
-        if not args.out:
-            p.error("--out is required when applying steps")
-        write_field(out, args.out)
-        outputs.append(args.out)
-        print(f"wrote {args.out}")
-    write_manifest(args.manifest, ["symmetry"] + argv, args, outputs,
-                   started=started)
-    return 0
+        if args.q is None or args.r is None:
+            p.error("target-side pullback needs --q and --r")
+        out = pullback_target(sig, f, args.q, args.r)
+    if not args.out:
+        p.error("--out is required when applying steps")
+    write_field(out, args.out)
+    print(f"wrote {args.out}")
+    return args, [args.out], 0
 
 
-def cmd_paraball(argv):
-    p = _parser("paraball")
+def cmd_paraball(p, argv):
     p.add_argument("--ball", type=ball_spec, required=True)
     p.add_argument("--theta", type=rational)
     p.add_argument("--point", type=point_spec)
@@ -324,9 +315,7 @@ def cmd_paraball(argv):
     p.add_argument("--hi", type=number, default=2.0)
     p.add_argument("--counts", type=int, default=32)
     args = p.parse_args(argv)
-    started = _now()
     B = args.ball
-    outputs = []
     print(f"volume={_fmt(volume(B))}")
     if args.theta is not None:
         print(f"dualNorm={_fmt(dual_mixed_norm(B, args.theta))}")
@@ -339,15 +328,11 @@ def cmd_paraball(argv):
         ras = raster_primal(B, grid) if args.side == "primal" \
             else raster_dual(B, grid)
         write_field(ras, args.raster)
-        outputs.append(args.raster)
         print(f"wrote {args.raster}")
-    write_manifest(args.manifest, ["paraball"] + argv, args, outputs,
-                   started=started)
-    return 0
+    return args, [args.raster] if args.raster else [], 0
 
 
-def cmd_partition(argv):
-    p = _parser("partition")
+def cmd_partition(p, argv):
     p.add_argument("--ball", type=ball_spec, required=True)
     p.add_argument("--delta", type=rational, required=True)
     p.add_argument("--theta", type=rational, required=True)
@@ -356,14 +341,12 @@ def cmd_partition(argv):
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the member table as CSV")
     args = p.parse_args(argv)
-    started = _now()
     if args.check and args.seed is None:
         p.error("--check is randomized: --seed is required")
     cover = partition(args.ball, float(args.delta), args.theta)
     cnt = cover.counts
     print(f"members={cnt['members']} s={cnt['s']} t={cnt['t']} y={cnt['y']}")
     print(f"eta1={_fmt(cover.eta1)} eta2={_fmt(cover.eta2)}")
-    outputs = []
     if args.check:
         rng = np.random.default_rng(args.seed)
         misses = 0
@@ -372,35 +355,24 @@ def cmd_partition(argv):
             misses += int(np.count_nonzero(~cover.contains(pts, side)))
         print(f"containmentMisses={misses}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("index,s0,t0," +
-                     ",".join(f"y{m}" for m in range(1, args.ball.d)) +
-                     ",alpha,beta\n")
-            for i, m in enumerate(cover.members):
-                row = [i, m.s0, m.t0, *m.ybar, m.alpha, m.beta]
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
-        outputs.append(args.out)
+        header = ["index", "s0", "t0",
+                  *(f"y{m}" for m in range(1, args.ball.d)), "alpha", "beta"]
+        _write_csv(args.out, header,
+                   ([i, m.s0, m.t0, *m.ybar, m.alpha, m.beta]
+                    for i, m in enumerate(cover.members)))
         print(f"wrote {args.out}")
-    write_manifest(args.manifest, ["partition"] + argv, args, outputs,
-                   seed=args.seed, started=started)
-    return 0
+    return args, [args.out] if args.out else [], 0
 
 
-def cmd_mockdist(argv):
-    p = _parser("mockdist")
+def cmd_mockdist(p, argv):
     p.add_argument("--ball-a", type=ball_spec, required=True)
     p.add_argument("--ball-b", type=ball_spec, required=True)
     args = p.parse_args(argv)
-    started = _now()
     print(_fmt(mock_distance(args.ball_a, args.ball_b)))
-    write_manifest(args.manifest, ["mockdist"] + argv, args, [],
-                   started=started)
-    return 0
+    return args, [], 0
 
 
-def cmd_decompose(argv):
-    p = _parser("decompose")
+def cmd_decompose(p, argv):
     p.add_argument("--field", required=True)
     p.add_argument("--mode", choices=["dyadic", "slab", "combined", "trim"],
                    default="dyadic")
@@ -410,58 +382,41 @@ def cmd_decompose(argv):
     p.add_argument("--window", type=int, default=1, help="trim width W")
     p.add_argument("--out", help="CSV table (or field file for trim)")
     args = p.parse_args(argv)
-    started = _now()
     f = read_field(args.field)
-    outputs = []
-    rows = []
-    if args.mode == "dyadic":
-        pieces = dyadic_decompose(f)
-        header = "j,cells,measure"
-        for pc in pieces:
-            rows.append(f"{pc.j},{int(pc.mask.sum())},{_fmt(pc.measure)}")
-        print(f"pieces={len(pieces)}")
-    elif args.mode == "slab":
-        if args.r is None:
-            p.error("slab mode needs --r")
-        pieces = slab_decompose(f, args.r)
-        header = "l,slices"
-        for pc in pieces:
-            rows.append(f"{pc.l},{int(pc.t_mask.sum())}")
-        print(f"pieces={len(pieces)}")
-    elif args.mode == "combined":
-        if args.q is None or args.r is None:
-            p.error("combined mode needs --q and --r")
-        pieces = combined_decompose(f, args.q, args.r)
-        header = "k,l,m,cells,measure"
-        vol = f.grid.cell_volume
-        for pc in pieces:
-            n = int(pc.mask.sum())
-            rows.append(f"{pc.k},{pc.l},{pc.m},{n},{_fmt(n * vol)}")
-        print(f"pieces={len(pieces)}")
-    else:
+    if args.mode == "trim":
         trimmed, j0 = trim_frequency(f, args.window, args.p)
         print(f"j0={j0}")
-        if args.out:
-            write_field(trimmed, args.out)
-            outputs.append(args.out)
-            print(f"wrote {args.out}")
-        write_manifest(args.manifest, ["decompose"] + argv, args, outputs,
-                       started=started)
-        return 0
+    else:
+        if args.mode == "dyadic":
+            header = ["j", "cells", "measure"]
+            rows = [(pc.j, int(pc.mask.sum()), pc.measure)
+                    for pc in dyadic_decompose(f)]
+        elif args.mode == "slab":
+            if args.r is None:
+                p.error("slab mode needs --r")
+            header = ["l", "slices"]
+            rows = [(pc.l, int(pc.t_mask.sum()))
+                    for pc in slab_decompose(f, args.r)]
+        else:
+            if args.q is None or args.r is None:
+                p.error("combined mode needs --q and --r")
+            header = ["k", "l", "m", "cells", "measure"]
+            vol = f.grid.cell_volume
+            rows = []
+            for pc in combined_decompose(f, args.q, args.r):
+                n = int(pc.mask.sum())
+                rows.append((pc.k, pc.l, pc.m, n, n * vol))
+        print(f"pieces={len(rows)}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
-        outputs.append(args.out)
+        if args.mode == "trim":
+            write_field(trimmed, args.out)
+        else:
+            _write_csv(args.out, header, rows)
         print(f"wrote {args.out}")
-    write_manifest(args.manifest, ["decompose"] + argv, args, outputs,
-                   started=started)
-    return 0
+    return args, [args.out] if args.out else [], 0
 
 
-def cmd_search(argv):
-    p = _parser("search")
+def cmd_search(p, argv):
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--theta", type=rational, default=Fraction(5, 6))
     p.add_argument("--counts", type=int, default=24)
@@ -473,7 +428,6 @@ def cmd_search(argv):
     p.add_argument("--jitter", type=number, default=0.05)
     p.add_argument("--out", required=True, help="output directory")
     args = p.parse_args(argv)
-    started = _now()
     cfg = SearchConfig(d=args.d, theta=args.theta, counts=args.counts,
                        box_half=args.box_half, max_iters=args.max_iters,
                        tol_phi=float(args.tol), renorm_every=args.renorm_every,
@@ -492,21 +446,13 @@ def cmd_search(argv):
     print(f"iters={report.iters}")
     print(f"converged={'true' if report.converged else 'false'}")
     print(f"r95={_fmt(report.r95)}")
-    outputs = [report_path]
-    if report.field_path:
-        outputs.append(report.field_path)
-    if report.log_path:
-        outputs.append(report.log_path)
-    write_manifest(args.manifest, ["search"] + argv, args, outputs,
-                   seed=args.seed, started=started)
-    return 0 if report.converged else 2
+    outputs = [report_path, report.field_path, report.log_path]
+    return args, [o for o in outputs if o], 0 if report.converged else 2
 
 
-def cmd_diagnose(argv):
-    p = _parser("diagnose")
+def cmd_diagnose(p, argv):
     p.add_argument("--counts", type=int, default=12)
     args = p.parse_args(argv)
-    started = _now()
     checks = []
 
     trip = triple_for_theta(3, theta_zero(3))
@@ -548,9 +494,7 @@ def cmd_diagnose(argv):
     for name, passed in checks:
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
         ok = ok and passed
-    write_manifest(args.manifest, ["diagnose"] + argv, args, [],
-                   started=started)
-    return 0 if ok else 1
+    return args, [], 0 if ok else 1
 
 
 COMMANDS = {
@@ -576,7 +520,20 @@ def main(argv=None) -> int:
     if not argv or argv[0] not in COMMANDS:
         sys.stderr.write(USAGE)
         return 64
-    return COMMANDS[argv[0]](argv[1:])
+    name = argv[0]
+    p = argparse.ArgumentParser(prog=f"momentxray {name}")
+    p.add_argument("--manifest", default="momentxray_run.json",
+                   help="where to write the run manifest")
+    started = _now()
+    try:
+        args, outputs, code = COMMANDS[name](p, argv[1:])
+        write_manifest(args.manifest, argv, args, outputs,
+                       seed=getattr(args, "seed", None), started=started)
+    except (ValueError, OSError) as exc:
+        message = str(exc).replace("\n", " ")
+        sys.stderr.write(f"momentxray {name}: error: {message}\n")
+        return 65 if isinstance(exc, ValueError) else 66
+    return code
 
 
 if __name__ == "__main__":

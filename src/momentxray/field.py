@@ -287,17 +287,50 @@ def write_field(f: SampledField, path) -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real_list(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+
+
+_HEADER_TYPES = {
+    "d": _is_int,
+    "side": lambda v: isinstance(v, str),
+    "origin": _is_real_list,
+    "spacing": _is_real_list,
+    "counts": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+
+
+def _header_grid(line: bytes) -> Grid:
+    header = json.loads(line.decode("ascii"))
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    for key, ok in _HEADER_TYPES.items():
+        if key not in header:
+            raise ValueError(f"header lacks {key!r}")
+        if not ok(header[key]):
+            raise ValueError(f"header {key!r} has the wrong type")
+    return Grid(d=header["d"], side=header["side"],
+                origin=tuple(header["origin"]),
+                spacing=tuple(header["spacing"]),
+                counts=tuple(header["counts"]))
+
+
 def read_field(path) -> SampledField:
+    """Inverse of write_field; a malformed file raises ValueError naming it."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("ascii"))
-        grid = Grid(d=header["d"], side=header["side"],
-                    origin=tuple(header["origin"]),
-                    spacing=tuple(header["spacing"]),
-                    counts=tuple(header["counts"]))
+        try:
+            grid = _header_grid(fh.readline())
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad field header: {exc}") from None
         raw = fh.read()
     expected = int(np.prod(grid.counts)) * 8
     if len(raw) != expected:
-        raise ValueError(f"field payload has {len(raw)} bytes, expected {expected}")
+        raise ValueError(f"{path}: field payload has {len(raw)} bytes,"
+                         f" expected {expected}")
     values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
     return SampledField(grid=grid, values=values)

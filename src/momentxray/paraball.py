@@ -267,7 +267,7 @@ class _Net:
         q = np.clip(np.asarray(pts, float), -1.0, 1.0)
         if self.k == 1 and q.ndim == 1:
             q = q[:, None]
-        idx = np.rint((q + 1.0) * self.M / 2.0).astype(np.int64)
+        idx = np.rint((q + 1.0) * self.M).astype(np.int64)
         idx = np.clip(idx, 0, 2 * self.M)
         flat = np.zeros(q.shape[0], dtype=np.int64)
         for a in range(self.k):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from momentxray import cli
 from momentxray.cli import main
 from momentxray.field import SampledField, grid_from_box, read_field, write_field
 
@@ -387,3 +388,81 @@ class TestDiagnose:
         names = {line.split(":")[0] for line in lines}
         assert names == {"endpoint_exponents", "adjointness", "dual_pairing",
                          "mockdist_self", "normal_form_roundtrip"}
+
+
+# one valid run per subcommand: argv, the files it must hash, its seed
+MANIFEST_RUNS = [
+    (["exponents", "--d", "3", "--theta", "5/6"], [], None),
+    (["norm", "--field", "cube.field", "--p", "2"], [], None),
+    (["transform", "--field", "cube.field", "--out", "xf.field"],
+     ["xf.field"], None),
+    (["symmetry", "--field", "cube.field", "--step", "translate:0.2,-0.1",
+      "--p", "3/2", "--out", "moved.field"], ["moved.field"], None),
+    (["paraball", "--ball", UNIT_BALL, "--raster", "ind.field",
+      "--counts", "12"], ["ind.field"], None),
+    (["partition", "--ball", UNIT_BALL, "--delta", "1/2", "--theta", "5/6",
+      "--check", "100", "--seed", "7", "--out", "m.csv"], ["m.csv"], 7),
+    (["mockdist", "--ball-a", UNIT_BALL, "--ball-b", UNIT_BALL], [], None),
+    (["decompose", "--field", "cube.field", "--out", "dy.csv"],
+     ["dy.csv"], None),
+    (["search", "--counts", "8", "--seed", "3", "--max-iters", "3",
+      "--out", "run"],
+     ["run/report.json", "run/extremizer.field", "run/search_log.jsonl"], 3),
+    (["diagnose", "--counts", "8"], [], None),
+]
+
+
+class TestManifestContract:
+    @pytest.mark.parametrize("argv,outputs,seed", MANIFEST_RUNS,
+                             ids=[r[0][0] for r in MANIFEST_RUNS])
+    def test_one_manifest_per_run(self, capsys, tmp_path, monkeypatch,
+                                  argv, outputs, seed):
+        write_cube(tmp_path / "cube.field")
+        calls = []
+        real = cli.write_manifest
+
+        def counting(*a, **kw):
+            calls.append(a[0])
+            real(*a, **kw)
+
+        monkeypatch.setattr(cli, "write_manifest", counting)
+        argv = argv + ["--manifest", "run.json"]
+        code, _, _ = run(capsys, argv)
+        assert code in (0, 2)
+        assert calls == ["run.json"]
+        assert not (tmp_path / "momentxray_run.json").exists()
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["command"] == argv
+        assert doc["seed"] == seed
+        want = {}
+        for out in outputs:
+            digest = hashlib.sha256((tmp_path / out).read_bytes())
+            want[out] = "sha256:" + digest.hexdigest()
+        assert doc["outputs"] == want
+
+
+class TestErrorContract:
+    def test_missing_field_exits_66(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["norm", "--field", "missing.field",
+                                      "--p", "2"])
+        assert code == 66
+        assert out == ""
+        assert err.startswith("momentxray norm: error: ")
+        assert "missing.field" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "momentxray_run.json").exists()
+
+    def test_malformed_header_exits_65(self, capsys, tmp_path):
+        header = {"d": 3, "side": "source", "spacing": [1, 1, 1],
+                  "counts": [2, 2, 2]}
+        (tmp_path / "bad.field").write_bytes(
+            json.dumps(header).encode() + b"\n" + bytes(64))
+        code, out, err = run(capsys, ["transform", "--field", "bad.field",
+                                      "--out", "xf.field"])
+        assert code == 65
+        assert out == ""
+        assert err.startswith("momentxray transform: error: ")
+        assert "bad.field" in err and "origin" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "momentxray_run.json").exists()
+        assert not (tmp_path / "xf.field").exists()

@@ -335,3 +335,27 @@ class TestFieldIO:
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError):
             read_field(path)
+
+    @pytest.mark.parametrize("header", [
+        b"not json",
+        b"[3]",
+        b'{"d": 3, "side": "source", "spacing": [1, 1, 1], "counts": [2, 2, 2]}',
+        b'{"d": "3", "side": "source", "origin": [0, 0, 0],'
+        b' "spacing": [1, 1, 1], "counts": [2, 2, 2]}',
+        b'{"d": 3, "side": 1, "origin": [0, 0, 0],'
+        b' "spacing": [1, 1, 1], "counts": [2, 2, 2]}',
+        b'{"d": 3, "side": "source", "origin": 0,'
+        b' "spacing": [1, 1, 1], "counts": [2, 2, 2]}',
+        b'{"d": 3, "side": "source", "origin": [0, 0, 0],'
+        b' "spacing": [1, "1", 1], "counts": [2, 2, 2]}',
+        b'{"d": 3, "side": "source", "origin": [0, 0, 0],'
+        b' "spacing": [1, 1, 1], "counts": [2, 2.5, 2]}',
+        b'{"d": 3, "side": "source", "origin": [0, 0, 0],'
+        b' "spacing": [1, 1, 1], "counts": [2, true, 2]}',
+    ], ids=["not-json", "not-object", "no-origin", "d-string", "side-int",
+            "origin-scalar", "spacing-string", "counts-float", "counts-bool"])
+    def test_malformed_header_names_the_path(self, tmp_path, header):
+        path = tmp_path / "bad.field"
+        path.write_bytes(header + b"\n" + bytes(64))
+        with pytest.raises(ValueError, match="bad.field"):
+            read_field(path)

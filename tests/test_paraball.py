@@ -273,6 +273,21 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(unit_paraball(D), 0.0, THETA)
 
+    @pytest.mark.parametrize("d,delta", [(3, 0.5), (3, 0.25), (4, 0.5)])
+    def test_net_query_returns_a_near_net_point(self, d, delta):
+        cover = partition(unit_paraball(d), delta, THETA)
+        seps = {"s": cover.eta1, "t": cover.eta2,
+                "y": cover.eta1 * cover.eta2 ** d}
+        rng = np.random.default_rng(23)
+        for name, sep in seps.items():
+            net = getattr(cover, f"_{name}_index")
+            # every net point is its own nearest net point
+            assert np.array_equal(net.query(net.points),
+                                  np.arange(len(net.points))), name
+            q = rng.uniform(-1.0, 1.0, (2000, net.k))
+            gap = np.linalg.norm(net.points[net.query(q)] - q, axis=1)
+            assert gap.max() <= 1.25 * sep, name
+
 
 class TestMockDistance:
     def test_self_distance_is_five(self):
