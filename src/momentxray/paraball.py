@@ -320,13 +320,17 @@ class Cover:
         k = first if side == "primal" else self._t_index.query(lead)
         ok = _inside(lead, rest, self.s_net[j], self.t_net[k], self.y_net[i],
                      a, b, side)
-        # points the lattice lookup misses: scan every member
-        S = np.repeat(self.s_net, len(self.t_net))
-        T = np.tile(self.t_net, len(self.s_net))
+        # points the lattice lookup misses: test against every member
+        S, T, Y = _member_centres(self.s_net, self.t_net, self.y_net)
         for idx in np.flatnonzero(~ok):
-            ok[idx] = any(_inside(lead[idx], rest[idx], S, T, yi, a, b,
-                                  side).any() for yi in self.y_net)
+            ok[idx] = _inside(lead[idx], rest[idx], S, T, Y, a, b, side).any()
         return ok
+
+
+def _member_centres(s, t, y):
+    """Unit-frame centre columns (s_j, t_k, y_i) of the members, in order."""
+    i, j, k = np.indices((len(y), len(s), len(t))).reshape(3, -1)
+    return s[j], t[k], y[i]
 
 
 def partition(B: Paraball, delta: float, theta) -> Cover:
@@ -354,8 +358,7 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     t_net = _Net(1, eta2)
     y_net = _Net(d - 1, eta1 * eta2 ** d)
     s, t, y = s_net.points[:, 0], t_net.points[:, 0], y_net.points
-    i, j, k = np.indices((len(y), len(s), len(t))).reshape(3, -1)
-    S, T, Y = s[j], t[k], y[i]
+    S, T, Y = _member_centres(s, t, y)
     # the unit-frame member centred at (s_j, t_k, y_i) maps the origin to
     # (s_j, y_i + s_j gamma(t_k)) and (t_k, y_i); its image under B's
     # symmetry reads off the member's normal form as in from_symmetry

@@ -274,6 +274,19 @@ class TestPartition:
             partition(unit_paraball(D), 0.0, THETA)
 
     @pytest.mark.parametrize("d,delta", [(3, 0.5), (3, 0.25), (4, 0.5)])
+    def test_contains_matches_members_beyond_the_base(self, d, delta):
+        # points drawn x3 about the base often miss the lattice lookup
+        B = Paraball(0.2, -0.1, (0.3, 0.1, -0.2)[:d - 1], 1.1, 0.9)
+        cover = partition(B, delta, THETA)
+        rng = np.random.default_rng(37)
+        for side, fmap in (("primal", map_source), ("dual", map_target)):
+            pts = fmap(to_symmetry(B), rng.uniform(-3.0, 3.0, (300, d)))
+            want = np.zeros(len(pts), dtype=bool)
+            for member in cover.members:
+                want |= membership(member, pts, side)
+            assert np.array_equal(cover.contains(pts, side), want), side
+
+    @pytest.mark.parametrize("d,delta", [(3, 0.5), (3, 0.25), (4, 0.5)])
     def test_net_query_returns_a_near_net_point(self, d, delta):
         cover = partition(unit_paraball(d), delta, THETA)
         seps = {"s": cover.eta1, "t": cover.eta2,

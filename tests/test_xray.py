@@ -103,6 +103,44 @@ class TestAdjointness:
         assert abs(lhs - rhs) <= 1e-6 * abs(lhs)
 
 
+    def test_pairing_identity_d4(self):
+        # matched grids in d = 4: the two sweeps agree to rounding
+        rng = np.random.default_rng(43)
+        sg = box_grid("source", -2, 2, 10, 4)
+        tg = box_grid("target", -2, 2, 10, 4)
+        f = SampledField(sg, rng.random(sg.shape))
+        g = SampledField(tg, rng.random(tg.shape))
+        plan = TransformPlan(sg, tg)
+        lhs = bilinear(f, g, plan)
+        rhs = float(np.sum(f.values * apply_X_star(g, plan).values)
+                    * sg.cell_volume)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def _stretched(grid):
+    # cross-section spacings off by 1e-9 relative: past the 1e-12 matched
+    # test, so the transform resamples with the dense kernel
+    h = grid.spacing[:1] + tuple(v * (1 + 1e-9) for v in grid.spacing[1:])
+    return Grid(grid.d, grid.side, grid.origin, h, grid.counts)
+
+
+class TestKernelAgreement:
+    @pytest.mark.parametrize("d,n", [(3, 12), (4, 8)])
+    def test_shift_and_dense_kernels_agree(self, d, n):
+        rng = np.random.default_rng(41)
+        sg = box_grid("source", -1.5, 1.5, n, d)
+        tg = box_grid("target", -1.5, 1.5, n, d)
+        shift = TransformPlan(sg, tg)
+        dense = TransformPlan(sg, _stretched(tg))
+        f = SampledField(sg, rng.random(sg.shape))
+        gv = rng.random(tg.shape)
+        x_gap = apply_X(f, dense).values - apply_X(f, shift).values
+        assert np.max(np.abs(x_gap)) <= 1e-6
+        xs_gap = (apply_X_star(SampledField(dense.target_grid, gv), dense).values
+                  - apply_X_star(SampledField(tg, gv), shift).values)
+        assert np.max(np.abs(xs_gap)) <= 1e-6
+
+
 class TestBilinear:
     def test_unit_cubes_against_monte_carlo(self):
         # MC reference frozen from 1e7 samples, seed 2024: 0.666533
@@ -131,6 +169,17 @@ class TestBilinear:
                 for nq in (8, 16, 32)]
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
         assert errs[1] / errs[2] == pytest.approx(4.0, abs=1.0)
+
+
+    @pytest.mark.parametrize("lo,hi,n", [(0, 4, 8), (-1, 1, 6)],
+                             ids=["other-box", "other-shape"])
+    def test_target_grid_mismatch_rejected(self, lo, hi, n):
+        sg = box_grid("source", -1, 1, 8)
+        plan = TransformPlan(sg, box_grid("target", -1, 1, 8))
+        f = SampledField(sg, np.ones((8,) * D))
+        g = SampledField(box_grid("target", lo, hi, n), np.ones((n,) * D))
+        with pytest.raises(ValueError, match="plan's target grid"):
+            bilinear(f, g, plan)
 
 
 class TestPhiFunctional:
