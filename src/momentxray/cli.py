@@ -357,9 +357,11 @@ def cmd_partition(p, argv):
     if args.out:
         header = ["index", "s0", "t0",
                   *(f"y{m}" for m in range(1, args.ball.d)), "alpha", "beta"]
+        m = cover.members
         _write_csv(args.out, header,
-                   ([i, m.s0, m.t0, *m.ybar, m.alpha, m.beta]
-                    for i, m in enumerate(cover.members)))
+                   ([i, s0, t0, *yb, m.alpha, m.beta] for i, (s0, t0, yb)
+                    in enumerate(zip(m.s0.tolist(), m.t0.tolist(),
+                                     m.ybar.tolist()))))
         print(f"wrote {args.out}")
     return args, [args.out] if args.out else [], 0
 

@@ -15,6 +15,8 @@ localizes a near-extremal pair.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -233,34 +235,50 @@ def raster_dual(B: Paraball, grid: Grid) -> SampledField:
 class _Net:
     """Greedy farthest-point net over a candidate lattice on [-1, 1]^k.
 
+    Gonzalez's greedy (1985): start at the origin, then repeatedly add the
+    candidate farthest from the net until every candidate lies within sep.
+    np.argmax breaks ties by the first candidate in C order, which fixes
+    the order of the net points.  Window invariant: when c is added at the
+    current maximum distance r, a candidate's distance drops (newd < dist
+    <= r) only if it lies within r of c, hence within r M lattice steps of
+    c on every axis.  So each step updates only the lattice window of
+    half-width ceil(r M) + 1 about c (the + 1 absorbs rounding), and the
+    distances, net points and nearest indices are bit-identical to a
+    full-lattice update.
+
     Also records, per lattice candidate, the index of its (near-) nearest
     net point, so nearest-net queries are O(1) lattice lookups.
     """
 
     def __init__(self, k: int, sep: float):
         M = max(1, math.ceil(4.0 / sep))
-        if (2 * M + 1) ** k > 4_000_000:
+        n = 2 * M + 1
+        if n ** k > 4_000_000:
             raise ValueError("separation too small for the candidate lattice")
-        axis = np.linspace(-1.0, 1.0, 2 * M + 1)
-        mesh = np.meshgrid(*([axis] * k), indexing="ij")
-        cand = np.stack(mesh, axis=-1).reshape(-1, k)
-        zero = (cand.shape[0] - 1) // 2
+        axis = np.linspace(-1.0, 1.0, n)
+        cand = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1)
+        flat = cand.reshape(-1, k)
+        zero = (flat.shape[0] - 1) // 2
         chosen = [zero]
-        dist = np.linalg.norm(cand - cand[zero], axis=1)
-        nearest = np.zeros(cand.shape[0], dtype=np.int64)
+        dist = np.linalg.norm(cand - flat[zero], axis=-1)
+        nearest = np.zeros(dist.shape, dtype=np.int64)
         while True:
             i = int(np.argmax(dist))
-            if dist[i] < sep:
+            r = dist.flat[i]
+            if r < sep:
                 break
-            newd = np.linalg.norm(cand - cand[i], axis=1)
-            closer = newd < dist
-            nearest[closer] = len(chosen)
-            dist = np.where(closer, newd, dist)
+            w = math.ceil(r * M) + 1
+            win = tuple(slice(max(c - w, 0), c + w + 1)
+                        for c in np.unravel_index(i, dist.shape))
+            newd = np.linalg.norm(cand[win] - flat[i], axis=-1)
+            closer = newd < dist[win]
+            nearest[win][closer] = len(chosen)
+            dist[win][closer] = newd[closer]
             chosen.append(i)
         self.k = k
         self.M = M
-        self.points = cand[chosen]
-        self._nearest = nearest
+        self.points = flat[chosen]
+        self._nearest = nearest.reshape(-1)
 
     def query(self, pts: np.ndarray) -> np.ndarray:
         """Index of a net point within ~1.2 separations of each query point."""
@@ -275,6 +293,35 @@ class _Net:
         return self._nearest[flat]
 
 
+class _Members(Sequence):
+    """Read-only sequence of congruent paraballs stored as columns.
+
+    s0, t0 and ybar hold one row per member; alpha and beta are shared.
+    Item n is Paraball(s0[n], t0[n], ybar[n], alpha, beta), built on access.
+    """
+
+    def __init__(self, s0, t0, ybar, alpha: float, beta: float):
+        if not (all(np.isfinite(c).all() for c in (s0, t0, ybar, alpha, beta))
+                and alpha > 0 and beta > 0):
+            raise ValueError("member parameters must be finite, with "
+                             "positive widths")
+        for col in (s0, t0, ybar):
+            col.flags.writeable = False
+        self.s0, self.t0, self.ybar = s0, t0, ybar
+        self.alpha, self.beta = alpha, beta
+
+    def __len__(self) -> int:
+        return len(self.s0)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return _Members(self.s0[n], self.t0[n], self.ybar[n], self.alpha,
+                            self.beta)
+        n = operator.index(n)
+        return Paraball(self.s0[n], self.t0[n], self.ybar[n], self.alpha,
+                        self.beta)
+
+
 @dataclass(frozen=True)
 class Cover:
     """delta-partition of a paraball into congruent members.
@@ -283,7 +330,8 @@ class Cover:
     frame, flattened as (i * n_s + j) * n_t + k.  Member (i, j, k) is the
     base paraball's image of the unit-frame paraball centred at the net
     point (s_j, t_k, y_i) with widths (2 eta1, 2 eta2), so members live in
-    the parent's coordinates.
+    the parent's coordinates.  They are stored as columns (a _Members
+    sequence) and each Paraball is built when it is accessed.
     """
 
     base: Paraball
@@ -291,7 +339,7 @@ class Cover:
     theta: object
     eta1: float
     eta2: float
-    members: tuple
+    members: _Members
     s_net: np.ndarray = dc_field(repr=False)
     t_net: np.ndarray = dc_field(repr=False)
     y_net: np.ndarray = dc_field(repr=False)
@@ -366,9 +414,8 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     src = map_source(sigma, np.column_stack(
         [S, Y + S[:, None] * gamma_eval(d, T)]))
     tgt = map_target(sigma, np.column_stack([T, Y]))
-    alpha, beta = 2 * eta1 * B.alpha, 2 * eta2 * B.beta
-    members = tuple(Paraball(s0, t0, yb, alpha, beta)
-                    for s0, t0, yb in zip(src[:, 0], tgt[:, 0], tgt[:, 1:]))
+    members = _Members(src[:, 0], tgt[:, 0], tgt[:, 1:],
+                       2 * eta1 * B.alpha, 2 * eta2 * B.beta)
     return Cover(base=B, delta=float(delta), theta=theta, eta1=eta1, eta2=eta2,
                  members=members, s_net=s, t_net=t, y_net=y,
                  _s_index=s_net, _t_index=t_net, _y_index=y_net)

@@ -7,6 +7,7 @@ stdout, and the run manifest can be inspected without spawning a shell.
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from momentxray import cli
 from momentxray.cli import main
 from momentxray.field import SampledField, grid_from_box, read_field, write_field
+from momentxray.paraball import partition
 
 UNIT_BALL = "0,0,0,0,1,1"
 
@@ -275,6 +277,20 @@ class TestPartition:
         lines = (tmp_path / "members.csv").read_text().splitlines()
         assert lines[0] == "index,s0,t0,y1,y2,alpha,beta"
         assert len(lines) - 1 == 1450
+
+    def test_csv_rows_equal_members(self, capsys, tmp_path):
+        ball = "0.2,-0.1,0.3,0.1,1.1,0.9"
+        argv = ["partition", "--ball", ball, "--delta", "1/4",
+                "--theta", "5/6", "--out", "members.csv"]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        rows = (tmp_path / "members.csv").read_text().splitlines()[1:]
+        cover = partition(cli.ball_spec(ball), 0.25, Fraction(5, 6))
+        assert len(rows) == len(cover.members)
+        for i, (row, m) in enumerate(zip(rows, cover.members)):
+            cells = [i, m.s0, m.t0, *m.ybar, m.alpha, m.beta]
+            assert row == ",".join(cli._fmt(v) if isinstance(v, float)
+                                   else str(v) for v in cells)
 
 
 class TestMockdist:

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentxray.field import (Grid, grid_from_box, lp_norm, mixed_norm,
-                              SampledField)
+from momentxray.field import (Grid, gamma_eval, grid_from_box, lp_norm,
+                              mixed_norm, SampledField)
 from momentxray.paraball import (
     Cover,
+    _Net,
     Paraball,
     conjugate,
     dual_bbox,
@@ -300,6 +301,83 @@ class TestPartition:
             q = rng.uniform(-1.0, 1.0, (2000, net.k))
             gap = np.linalg.norm(net.points[net.query(q)] - q, axis=1)
             assert gap.max() <= 1.25 * sep, name
+
+    def test_members_are_built_from_columns_on_access(self):
+        B = Paraball(0.2, -0.1, (0.3, 0.1), 1.1, 0.9)
+        cover = partition(B, 0.25, THETA)
+        # the eager build: one Paraball per member from the same columns
+        shape = (len(cover.y_net), len(cover.s_net), len(cover.t_net))
+        i, j, k = np.indices(shape).reshape(3, -1)
+        S, T, Y = cover.s_net[j], cover.t_net[k], cover.y_net[i]
+        sigma = to_symmetry(B)
+        src = map_source(sigma, np.column_stack(
+            [S, Y + S[:, None] * gamma_eval(D, T)]))
+        tgt = map_target(sigma, np.column_stack([T, Y]))
+        alpha, beta = 2 * cover.eta1 * B.alpha, 2 * cover.eta2 * B.beta
+        eager = [Paraball(s0, t0, yb, alpha, beta)
+                 for s0, t0, yb in zip(src[:, 0], tgt[:, 0], tgt[:, 1:])]
+        members = cover.members
+        assert cover.counts == {"s": 1, "t": 5, "y": 290, "members": 1450}
+        assert len(members) == len(eager) == 1450
+        assert list(members) == eager
+        for n in (0, 1, 777, 1449, np.int64(12), np.int32(1448), -1, -1450):
+            assert members[n] == eager[n], n
+        assert list(members[3:9]) == eager[3:9]
+        assert list(members[::-97]) == eager[::-97]
+        for n in (1450, -1451, np.int64(10**6)):
+            with pytest.raises(IndexError):
+                members[n]
+        with pytest.raises(TypeError):
+            members[1.0]
+        with pytest.raises(ValueError):
+            members.s0[0] = 0.0
+        assert eager[5] in members
+        assert members.index(eager[5]) == 5
+
+
+def _reference_net(k, sep):
+    """The full-lattice greedy farthest-point loop, updating every candidate."""
+    M = max(1, math.ceil(4.0 / sep))
+    axis = np.linspace(-1.0, 1.0, 2 * M + 1)
+    mesh = np.meshgrid(*([axis] * k), indexing="ij")
+    cand = np.stack(mesh, axis=-1).reshape(-1, k)
+    zero = (cand.shape[0] - 1) // 2
+    chosen = [zero]
+    dist = np.linalg.norm(cand - cand[zero], axis=1)
+    nearest = np.zeros(cand.shape[0], dtype=np.int64)
+    while True:
+        i = int(np.argmax(dist))
+        if dist[i] < sep:
+            break
+        newd = np.linalg.norm(cand - cand[i], axis=1)
+        closer = newd < dist
+        nearest[closer] = len(chosen)
+        dist = np.where(closer, newd, dist)
+        chosen.append(i)
+    return cand[chosen], nearest
+
+
+def _assert_same_net(net, k, sep):
+    points, nearest = _reference_net(k, sep)
+    assert net.points.tobytes() == points.tobytes()
+    assert net._nearest.tobytes() == nearest.tobytes()
+
+
+class TestNet:
+    @pytest.mark.parametrize("d,delta", [(3, 0.5), (3, 0.25), (3, 0.125),
+                                         (4, 0.5)])
+    def test_partition_nets_match_full_lattice_greedy(self, d, delta):
+        cover = partition(unit_paraball(d), delta, THETA)
+        seps = {"s": cover.eta1, "t": cover.eta2,
+                "y": cover.eta1 * cover.eta2 ** d}
+        for name, sep in seps.items():
+            net = getattr(cover, f"_{name}_index")
+            _assert_same_net(net, net.k, sep)
+
+    @pytest.mark.parametrize("k,lo,hi", [(1, 0.01, 1.5), (2, 0.05, 1.0)])
+    def test_seeded_separations_match_full_lattice_greedy(self, k, lo, hi):
+        for sep in np.random.default_rng(41 + k).uniform(lo, hi, 4):
+            _assert_same_net(_Net(k, float(sep)), k, float(sep))
 
 
 class TestMockDistance:
