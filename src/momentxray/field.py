@@ -242,34 +242,31 @@ def truncate(F: SampledField, R: float) -> SampledField:
 def interpolate(f: SampledField, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of f at arbitrary points, zero outside.
 
-    ``points`` has shape S + (d,); the result has shape S.  Node samples
-    outside the grid are treated as zero, so values decay linearly to zero
-    within one cell beyond the boundary nodes.
+    ``points`` has shape S + (d,); the result has shape S.  Border rule: the
+    values get one zero node on every side, so each corner is one gather with
+    no bounds check and values decay linearly to zero within one cell beyond
+    the boundary nodes.  Points whose cell misses the grid give 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != f.d:
         raise ValueError(f"points must have last dimension {f.d}")
-    flat = pts.reshape(-1, f.d)
-    origin = np.asarray(f.grid.origin)
-    spacing = np.asarray(f.grid.spacing)
     counts = np.asarray(f.grid.counts)
-    u = (flat - origin) / spacing
+    u = (pts.reshape(-1, f.d) - f.grid.origin) / f.grid.spacing
     base = np.floor(u).astype(np.int64)
     frac = u - base
-    out = np.zeros(flat.shape[0])
-    vals = f.values
+    weights = (1.0 - frac, frac)
+    padded = np.pad(f.values, 1).ravel()
+    shape = tuple(counts + 2)
+    start = np.ravel_multi_index(tuple(np.clip(base + 1, 0, counts).T), shape)
+    out = np.zeros(u.shape[0])
     for corner in range(1 << f.d):
-        offs = np.array([(corner >> k) & 1 for k in range(f.d)])
-        idx = base + offs
-        w = np.ones(flat.shape[0])
+        bits = [(corner >> k) & 1 for k in range(f.d)]
+        w = np.ones(u.shape[0])
         for k in range(f.d):
-            w *= np.where(offs[k] == 1, frac[:, k], 1.0 - frac[:, k])
-        valid = np.all((idx >= 0) & (idx < counts), axis=1)
-        if not np.any(valid):
-            continue
-        iv = idx[valid]
-        out[valid] += w[valid] * vals[tuple(iv.T)]
-    return out.reshape(pts.shape[:-1])
+            w *= weights[bits[k]][:, k]
+        out += w * padded[start + np.ravel_multi_index(bits, shape)]
+    live = np.all((base >= -1) & (base < counts), axis=1)
+    return np.where(live, out, 0.0).reshape(pts.shape[:-1])
 
 
 def write_field(f: SampledField, path) -> None:

@@ -60,7 +60,6 @@ class SearchState:
     g: SampledField = dc_field(repr=False)
     h: SampledField = dc_field(repr=False)
     phi: float = 0.0
-    renorm_applied: bool = False
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def ascent_step(state: SearchState, cfg: SearchConfig) -> SearchState:
     u = apply_X_star(state.g, plan)
     raw = np.clip(u.values, 0.0, None) ** expo
     if not raw.any():
-        return replace(state, it=it, renorm_applied=False)
+        return replace(state, it=it)
     cand = _evaluate(state.f.with_values(raw), plan, trip, it)
     tries = 0
     while cand.phi < state.phi - PHI_SLACK and tries < 3:
@@ -149,7 +148,7 @@ def ascent_step(state: SearchState, cfg: SearchConfig) -> SearchState:
         cand = _evaluate(state.f.with_values(mid), plan, trip, it)
         tries += 1
     if cand.phi < state.phi - PHI_SLACK:
-        return replace(state, it=it, renorm_applied=False)
+        return replace(state, it=it)
     return cand
 
 
@@ -167,7 +166,7 @@ def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
     cand = _evaluate(moved.with_values(vals), plan, trip, state.it)
     if cand.phi < state.phi - PHI_SLACK:
         return state
-    return replace(cand, renorm_applied=True)
+    return cand
 
 
 def _normalized_profile(f: SampledField, p):
@@ -215,18 +214,18 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     best = state.phi
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        prev = state.phi
-        renorm = False
+        prev = start = state
         if cfg.renorm_every > 0 and it % cfg.renorm_every == 0:
-            state = renormalize_state(state, cfg)
-            renorm = state.renorm_applied
-        state = ascent_step(state, cfg)
+            start = renormalize_state(state, cfg)
+        state = ascent_step(start, cfg)
         best = max(best, state.phi)
         history.append({"iter": it, "phi": state.phi,
                         "f_norm": lp_norm(state.f, trip.p),
                         "g_norm": mixed_norm(state.g, qc, rc),
-                        "renorm_applied": renorm})
-        if abs(state.phi - prev) <= cfg.tol_phi * max(prev, 1e-300):
+                        "renorm_applied": start is not prev})
+        if state.f is start.f:
+            break  # stalled: the step kept the old iterate
+        if abs(state.phi - prev.phi) <= cfg.tol_phi * max(prev.phi, 1e-300):
             converged = True
             break
     r95 = r95_radius(state.f, trip.p)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import Grid, SampledField, gamma_eval, grid_from_box, interpolate
-from .exponents import Infinity, as_float
+from .exponents import as_float
 
 
 @dataclass(frozen=True)
@@ -250,13 +250,14 @@ def normalize_symmetry(f: SampledField, p) -> Symmetry:
     The pulled-back field has its |f|^p mass barycenter at the origin, unit
     interquartile s-spread, x_1-spread equal to the s-spread, and zero
     (s, x_1) mass covariance.  Deterministic given f; spreads below 1e-12
-    leave the corresponding factor at 1.
+    leave the corresponding factor at 1.  For p = inf the weights are |f|^1,
+    a fixed choice: |f|^p has no useful limit as p grows.
     """
     if f.side != "source":
         raise ValueError("normalize_symmetry expects a source-side field")
     d = f.d
-    pf = float(p) if not isinstance(p, Infinity) else 1.0
-    w = np.abs(f.values) ** pf
+    pf = as_float(p)
+    w = np.abs(f.values) ** (1.0 if math.isinf(pf) else pf)
     total = w.sum()
     if not total > 0:
         raise ValueError("cannot normalize the zero field")

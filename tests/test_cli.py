@@ -393,6 +393,19 @@ class TestSearch:
         assert line_value(out, "converged") == "false"
         assert line_value(out, "iters") == "0"
 
+    def test_stalled_run_exits_two(self, capsys, tmp_path, monkeypatch):
+        # X* g with no positive part stalls the first ascent step
+        def no_positive_part(g, plan):
+            grid = plan.source_grid
+            return SampledField(grid, np.zeros(grid.shape))
+
+        monkeypatch.setattr("momentxray.search.apply_X_star", no_positive_part)
+        code, out, _ = run(capsys, ["search", "--counts", "8", "--seed", "1",
+                                    "--out", str(tmp_path / "stall")])
+        assert code == 2
+        assert line_value(out, "converged") == "false"
+        assert line_value(out, "iters") == "1"
+
 
 class TestDiagnose:
     def test_battery_passes(self, capsys):

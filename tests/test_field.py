@@ -316,6 +316,73 @@ class TestInterpolate:
         assert np.allclose(vab, va + 2.0 * vb, atol=1e-12)
 
 
+def _interpolate_reference(f, points):
+    """Per-corner loop with a bounds check at every corner."""
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, f.d)
+    counts = np.asarray(f.grid.counts)
+    u = (flat - np.asarray(f.grid.origin)) / np.asarray(f.grid.spacing)
+    base = np.floor(u).astype(np.int64)
+    frac = u - base
+    out = np.zeros(flat.shape[0])
+    for corner in range(1 << f.d):
+        offs = np.array([(corner >> k) & 1 for k in range(f.d)])
+        idx = base + offs
+        w = np.ones(flat.shape[0])
+        for k in range(f.d):
+            w *= np.where(offs[k] == 1, frac[:, k], 1.0 - frac[:, k])
+        valid = np.all((idx >= 0) & (idx < counts), axis=1)
+        if not np.any(valid):
+            continue
+        out[valid] += w[valid] * f.values[tuple(idx[valid].T)]
+    return out.reshape(pts.shape[:-1])
+
+
+class TestInterpolateBorder:
+    """The zero border agrees bit for bit with a per-corner bounds check."""
+
+    @staticmethod
+    def _field(rng, d):
+        counts = tuple(int(c) for c in rng.integers(2, 8, size=d))
+        g = Grid(d, "source", tuple(rng.normal(size=d)),
+                 tuple(rng.uniform(0.2, 1.5, size=d)), counts)
+        return SampledField(g, rng.normal(size=counts))
+
+    @staticmethod
+    def _points(rng, f, lo, hi, m=300):
+        o, h = np.array(f.grid.origin), np.array(f.grid.spacing)
+        n = np.array(f.grid.counts)
+        return o + h * rng.uniform(lo, n - 1 + hi, size=(m, f.d))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_matches_reference(self, d):
+        rng = np.random.default_rng(70 + d)
+        for _ in range(20):
+            f = self._field(rng, d)
+            h, n = np.array(f.grid.spacing), np.array(f.grid.counts)
+            halves = rng.integers(-4, 2 * n.max() + 4, size=(300, d)) / 2.0
+            sets = [
+                self._points(rng, f, -0.5, 0.5),    # inside the box
+                self._points(rng, f, -1.5, 1.5),    # within a cell of it
+                f.grid.origin + h * halves,         # nodes and cell faces
+                self._points(rng, f, -1e5, 1e5),    # far outside
+            ]
+            for pts in sets:
+                got = interpolate(f, pts.reshape(-1, 3, d))
+                want = _interpolate_reference(f, pts.reshape(-1, 3, d))
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_non_finite_points_give_zero(self, d):
+        f = self._field(np.random.default_rng(80 + d), d)
+        pts = np.tile(np.array(f.grid.origin), (3, 1))
+        pts[0, 0] = np.nan
+        pts[1, -1] = np.inf
+        pts[2, 1] = -np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(interpolate(f, pts), np.zeros(3))
+
+
 class TestFieldIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(47)

@@ -176,6 +176,13 @@ class TestRunSearch:
         assert rep.iters <= cfg.max_iters
         assert (tmp_path / "extremizer.field").exists()
 
+    def test_stalled_ascent_is_not_converged(self, monkeypatch):
+        # X* g with no positive part leaves the iterate unchanged
+        monkeypatch.setattr("momentxray.search.apply_X_star", _no_positive_part)
+        rep = run_search(SearchConfig(counts=8, seed=1))
+        assert not rep.converged
+        assert rep.iters == 1
+
     def test_report_dict_keys(self, tmp_path):
         cfg = SearchConfig(counts=12, seed=3, max_iters=2,
                            out_dir=str(tmp_path))
@@ -183,6 +190,11 @@ class TestRunSearch:
         keys = set(rep.as_dict())
         assert keys == {"bestPhi", "finalPhi", "iters", "converged", "r95",
                         "fieldPath", "logPath"}
+
+
+def _no_positive_part(g, plan):
+    grid = plan.source_grid
+    return SampledField(grid, -np.ones(grid.shape))
 
 
 class TestLocalization:

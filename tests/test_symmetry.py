@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from momentxray.exponents import INF
 from momentxray.field import SampledField, gamma_eval, grid_from_box, lp_norm
 from momentxray.symmetry import (
     Scale,
@@ -301,6 +302,17 @@ class TestNormalizeSymmetry:
         pf = pullback_source(first, f, P)
         second = normalize_symmetry(pf, P)
         assert _max_param(second) <= 0.25 * _max_param(first)
+
+    def test_infinite_p_weighs_by_first_power(self):
+        # documented choice: p = inf uses the |f|^1 weights
+        rng = np.random.default_rng(4)
+        g = box_grid("source", -2.0, 2.0, 16)
+        z = g.nodes() - rng.uniform(-0.4, 0.4, 3)
+        z[..., 1] -= 0.3 * z[..., 0]
+        f = SampledField(g, np.exp(-np.sum(z ** 2, axis=-1)))
+        sig = normalize_symmetry(f, INF)
+        assert sig == normalize_symmetry(f, 1)
+        assert sig != normalize_symmetry(f, 2)
 
     def test_zero_field_error(self):
         g = box_grid("source", -1, 1, 4)

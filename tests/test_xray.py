@@ -141,6 +141,38 @@ class TestKernelAgreement:
         assert np.max(np.abs(xs_gap)) <= 1e-6
 
 
+def _overlap(a, b, axis, k):
+    """Slices of a and of b shifted by k nodes along axis that line up."""
+    def cut(lo, hi):
+        return (slice(None),) * axis + (slice(lo, hi),)
+    n = a.shape[axis]
+    if k > 0:
+        return a[cut(0, n - k)], b[cut(k, n)]
+    return a[cut(-k, n)], b[cut(0, n + k)]
+
+
+class TestTranslationCovariance:
+    @pytest.mark.parametrize("d,n", [(3, 16), (4, 10)])
+    def test_grid_aligned_shifts_commute_exactly(self, d, n):
+        # translating by whole cells along a cross-section axis commutes
+        # with X and X* to the last bit; supports keep 3 cells from the
+        # section edges, so the +-1, +-2 shifts lose no mass off the grid
+        rng = np.random.default_rng(50 + d)
+        sg = box_grid("source", -1.5, 1.5, n, d)
+        tg = box_grid("target", -1.5, 1.5, n, d)
+        plan = TransformPlan(sg, tg)
+        inner = (slice(None),) + (slice(3, n - 3),) * (d - 1)
+        for grid, op in ((sg, apply_X), (tg, apply_X_star)):
+            vals = np.zeros(grid.shape)
+            vals[inner] = rng.random(vals[inner].shape)
+            out = op(SampledField(grid, vals), plan).values
+            for axis in range(1, d):
+                for k in (-2, -1, 1, 2):
+                    moved = op(SampledField(grid, np.roll(vals, k, axis)),
+                               plan).values
+                    assert np.array_equal(*_overlap(out, moved, axis, k))
+
+
 class TestBilinear:
     def test_unit_cubes_against_monte_carlo(self):
         # MC reference frozen from 1e7 samples, seed 2024: 0.666533
