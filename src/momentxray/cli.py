@@ -8,10 +8,11 @@ manifest, echoing the tool version, the argv, the parsed configuration, the
 seed when one is in play, and sha256 digests of every file the run produced.
 Exponent-like inputs are exact rationals (num/den); decimal points there are
 rejected so printed exponents stay exact.  Exit codes: 0 success, 1 a failed
-``diagnose`` check, 2 an argparse usage error or an unconverged ``search``,
-64 a missing or unknown subcommand, 65 bad data (ValueError), 66 an
-unreadable or missing file (OSError).  Errors print one line on stderr and
-write no manifest.
+``diagnose`` check, 2 an argparse usage error or a ``search`` that ran out of
+iterations, 3 a ``search`` that stalled (an ascent step kept the old
+iterate), 64 a missing or unknown subcommand, 65 bad data (ValueError), 66
+an unreadable or missing file (OSError).  Errors print one line on stderr
+and write no manifest.
 """
 
 from __future__ import annotations
@@ -418,6 +419,9 @@ def cmd_decompose(p, argv):
     return args, [args.out] if args.out else [], 0
 
 
+SEARCH_EXIT = {"converged": 0, "max_iters": 2, "stalled": 3}
+
+
 def cmd_search(p, argv):
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--theta", type=rational, default=Fraction(5, 6))
@@ -438,6 +442,7 @@ def cmd_search(p, argv):
     report = run_search(cfg)
     report_path = os.path.join(args.out, "report.json")
     doc = report.as_dict()
+    doc["stopReason"] = report.stop_reason
     for key in ("fieldPath", "logPath"):  # keep report relocatable
         if doc[key]:
             doc[key] = os.path.basename(doc[key])
@@ -447,9 +452,10 @@ def cmd_search(p, argv):
     print(f"bestPhi={_fmt(report.best_phi)}")
     print(f"iters={report.iters}")
     print(f"converged={'true' if report.converged else 'false'}")
+    print(f"stop_reason={report.stop_reason}")
     print(f"r95={_fmt(report.r95)}")
     outputs = [report_path, report.field_path, report.log_path]
-    return args, [o for o in outputs if o], 0 if report.converged else 2
+    return args, [o for o in outputs if o], SEARCH_EXIT[report.stop_reason]
 
 
 def cmd_diagnose(p, argv):

@@ -467,13 +467,15 @@ def intersection_volume(Ba: Paraball, Bb: Paraball, n: int = 100_000,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    small = Ba if volume(Ba) <= volume(Bb) else Bb
+    small, large = (Ba, Bb) if volume(Ba) <= volume(Bb) else (Bb, Ba)
     lo, hi = primal_bbox(small)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=(int(n), Ba.d)) * (hi - lo) + lo
-    hit = membership(Ba, pts, "primal") & membership(Bb, pts, "primal")
+    # membership is pointwise, so the larger ball sees only the hits
+    pts = pts[membership(small, pts, "primal")]
+    hits = np.count_nonzero(membership(large, pts, "primal"))
     box_vol = float(np.prod(hi - lo))
-    return box_vol * float(np.count_nonzero(hit)) / float(n)
+    return box_vol * float(hits) / float(n)
 
 
 def quasi_ratio(f: SampledField, g: SampledField, theta,

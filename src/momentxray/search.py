@@ -64,14 +64,25 @@ class SearchState:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """Outcome of ``run_search``.
+
+    ``stop_reason`` says why the iteration ended: ``converged`` (Phi moved
+    by at most tol_phi relative), ``stalled`` (an ascent step kept the old
+    iterate) or ``max_iters`` (the iteration budget ran out).
+    """
+
     best_phi: float
     final_phi: float
     iters: int
-    converged: bool
+    stop_reason: str
     r95: float
     field_path: str | None
     log_path: str | None
     history: tuple = dc_field(repr=False, default=())
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def as_dict(self):
         return {"bestPhi": self.best_phi, "finalPhi": self.final_phi,
@@ -212,7 +223,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
                 "g_norm": mixed_norm(state.g, qc, rc),
                 "renorm_applied": False}]
     best = state.phi
-    converged = False
+    stop_reason = "max_iters"
     for it in range(1, cfg.max_iters + 1):
         prev = start = state
         if cfg.renorm_every > 0 and it % cfg.renorm_every == 0:
@@ -224,9 +235,10 @@ def run_search(cfg: SearchConfig) -> SearchReport:
                         "g_norm": mixed_norm(state.g, qc, rc),
                         "renorm_applied": start is not prev})
         if state.f is start.f:
-            break  # stalled: the step kept the old iterate
+            stop_reason = "stalled"  # the step kept the old iterate
+            break
         if abs(state.phi - prev.phi) <= cfg.tol_phi * max(prev.phi, 1e-300):
-            converged = True
+            stop_reason = "converged"
             break
     r95 = r95_radius(state.f, trip.p)
     field_path = log_path = None
@@ -239,5 +251,6 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             for entry in history:
                 fh.write(json.dumps(entry) + "\n")
     return SearchReport(best_phi=best, final_phi=state.phi, iters=state.it,
-                        converged=converged, r95=r95, field_path=field_path,
-                        log_path=log_path, history=tuple(history))
+                        stop_reason=stop_reason, r95=r95,
+                        field_path=field_path, log_path=log_path,
+                        history=tuple(history))

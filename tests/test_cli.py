@@ -393,18 +393,37 @@ class TestSearch:
         assert line_value(out, "converged") == "false"
         assert line_value(out, "iters") == "0"
 
-    def test_stalled_run_exits_two(self, capsys, tmp_path, monkeypatch):
+    def test_stalled_run_exits_three(self, capsys, tmp_path, monkeypatch):
         # X* g with no positive part stalls the first ascent step
         def no_positive_part(g, plan):
             grid = plan.source_grid
             return SampledField(grid, np.zeros(grid.shape))
 
         monkeypatch.setattr("momentxray.search.apply_X_star", no_positive_part)
+        out_dir = tmp_path / "stall"
         code, out, _ = run(capsys, ["search", "--counts", "8", "--seed", "1",
-                                    "--out", str(tmp_path / "stall")])
-        assert code == 2
+                                    "--out", str(out_dir)])
+        assert code == 3
         assert line_value(out, "converged") == "false"
+        assert line_value(out, "stop_reason") == "stalled"
         assert line_value(out, "iters") == "1"
+        doc = json.loads((out_dir / "report.json").read_text())
+        assert doc["stopReason"] == "stalled"
+        assert doc["converged"] is False
+
+    @pytest.mark.parametrize("extra,reason,code", [
+        ([], "converged", 0),
+        (["--max-iters", "2"], "max_iters", 2),
+    ], ids=["converged", "max-iters"])
+    def test_stop_reason_in_report(self, capsys, tmp_path, extra, reason,
+                                   code):
+        out_dir = tmp_path / "run"
+        got, out, _ = run(capsys, ["search", "--counts", "12", "--seed", "3",
+                                   "--out", str(out_dir)] + extra)
+        assert got == code
+        assert line_value(out, "stop_reason") == reason
+        doc = json.loads((out_dir / "report.json").read_text())
+        assert doc["stopReason"] == reason
 
 
 class TestDiagnose:

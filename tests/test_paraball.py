@@ -226,6 +226,11 @@ class TestGroupAction:
                                 1e-12)
 
 
+def _plan_with_quad(s_quad, t_quad):
+    return TransformPlan(grid_from_box(D, "source", -1, 1, 8),
+                         grid_from_box(D, "target", -1, 1, 8), s_quad, t_quad)
+
+
 @pytest.mark.parametrize("build", [
     lambda: Grid(3, "source", (0, 0, 0), (math.nan, 1, 1), (4, 4, 4)),
     lambda: Grid(3, "source", (math.inf, 0, 0), (1, 1, 1), (4, 4, 4)),
@@ -235,9 +240,14 @@ class TestGroupAction:
     lambda: Scale(math.nan, 1),
     lambda: Translate((math.nan, 0)),
     lambda: Shear(math.nan, 0),
+    lambda: _plan_with_quad(math.nan, 8),
+    lambda: _plan_with_quad(8, math.inf),
+    lambda: _plan_with_quad(2.5, 8),
+    lambda: _plan_with_quad(8, 2.5),
 ], ids=["grid-nan-spacing", "grid-inf-origin", "paraball-nan-alpha",
         "paraball-inf-s0", "scale-inf", "scale-nan", "translate-nan",
-        "shear-nan"])
+        "shear-nan", "plan-nan-s-quad", "plan-inf-t-quad",
+        "plan-fractional-s-quad", "plan-fractional-t-quad"])
 def test_constructors_reject_nonfinite(build):
     with pytest.raises(ValueError):
         build()

@@ -183,6 +183,15 @@ class TestRunSearch:
         assert not rep.converged
         assert rep.iters == 1
 
+    def test_stop_reasons(self, monkeypatch):
+        def reason(**kw):
+            return run_search(SearchConfig(counts=8, seed=1, **kw)).stop_reason
+
+        assert reason() == "converged"
+        assert reason(max_iters=2) == "max_iters"
+        monkeypatch.setattr("momentxray.search.apply_X_star", _no_positive_part)
+        assert reason() == "stalled"
+
     def test_report_dict_keys(self, tmp_path):
         cfg = SearchConfig(counts=12, seed=3, max_iters=2,
                            out_dir=str(tmp_path))

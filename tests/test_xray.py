@@ -5,10 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentxray.field import Grid, SampledField, grid_from_box, lp_norm, mixed_norm
+from momentxray.field import (Grid, SampledField, gamma_eval, grid_from_box,
+                              lp_norm, mixed_norm)
 from momentxray.symmetry import Symmetry, Translate, pullback_source
 from momentxray.xray import (
     TransformPlan,
+    _quad_nodes,
+    _shift_blend,
     apply_X,
     apply_X_star,
     bilinear,
@@ -119,7 +122,7 @@ class TestAdjointness:
 
 def _stretched(grid):
     # cross-section spacings off by 1e-9 relative: past the 1e-12 matched
-    # test, so the transform resamples with the dense kernel
+    # test, so the transform resamples with the level-batched kernel
     h = grid.spacing[:1] + tuple(v * (1 + 1e-9) for v in grid.spacing[1:])
     return Grid(grid.d, grid.side, grid.origin, h, grid.counts)
 
@@ -139,6 +142,119 @@ class TestKernelAgreement:
         xs_gap = (apply_X_star(SampledField(dense.target_grid, gv), dense).values
                   - apply_X_star(SampledField(tg, gv), shift).values)
         assert np.max(np.abs(xs_gap)) <= 1e-6
+
+
+# The dense resampling kernel that the level-batched one replaced: one hat
+# matrix per (quadrature node, output level, axis), applied by tensordot.
+# Kept as the reference for the mismatched-spacing path.
+
+def _axis_matrix(targets, origin, spacing, n):
+    u = (targets - origin) / spacing
+    i0 = np.floor(u).astype(np.int64)
+    fr = u - i0
+    W = np.zeros((targets.size, n))
+    rows = np.arange(targets.size)
+    ok0 = (i0 >= 0) & (i0 < n)
+    W[rows[ok0], i0[ok0]] = 1.0 - fr[ok0]
+    ok1 = (i0 + 1 >= 0) & (i0 + 1 < n)
+    W[rows[ok1], i0[ok1] + 1] += fr[ok1]
+    return W
+
+
+def _dense_cross_section(slice_vals, offsets, in_grid, out_grid):
+    res = slice_vals
+    for m in range(1, in_grid.d):
+        h_in = in_grid.spacing[m]
+        axis = m - 1
+        if abs(out_grid.spacing[m] - h_in) <= 1e-12 * h_in:
+            u0 = (out_grid.origin[m] + offsets[m - 1] - in_grid.origin[m]) / h_in
+            m0 = int(np.floor(u0))
+            res = _shift_blend(res, axis, m0, u0 - m0, out_grid.counts[m])
+        else:
+            W = _axis_matrix(out_grid.axis_nodes(m) + offsets[m - 1],
+                             in_grid.origin[m], h_in, in_grid.counts[m])
+            res = np.moveaxis(np.tensordot(W, np.moveaxis(res, axis, 0),
+                                           axes=(1, 0)), 0, axis)
+    return res
+
+
+def _dense_sweep(values, in_grid, out_grid, n_quad, offsets):
+    nodes, step = _quad_nodes(in_grid, n_quad)
+    out = np.zeros(out_grid.shape)
+    for u in nodes:
+        pos = (u - in_grid.origin[0]) / in_grid.spacing[0]
+        m0 = int(np.floor(pos))
+        section = _shift_blend(values, 0, m0, pos - m0, 1)[0]
+        if not section.any():
+            continue
+        for j, off in enumerate(offsets(u)):
+            out[j] += _dense_cross_section(section, off, in_grid, out_grid)
+    return out * step
+
+
+def _dense_X(f, plan):
+    gam = gamma_eval(plan.d, plan.target_grid.axis_nodes(0))
+    return _dense_sweep(f.values, plan.source_grid, plan.target_grid,
+                        plan.s_quad, lambda s_k: s_k * gam)
+
+
+def _dense_X_star(g, plan):
+    s_levels = plan.source_grid.axis_nodes(0)[:, None]
+    return _dense_sweep(g.values, plan.target_grid, plan.source_grid,
+                        plan.t_quad,
+                        lambda t_k: -s_levels * gamma_eval(plan.d, t_k))
+
+
+def _mixed(side, n, h2):
+    # axis 1 has spacing 0.25 on both sides; axis 2 has h2
+    return Grid(3, side, (-2.0, -2.0, -2.1), (0.25, 0.25, h2), (n, n, n))
+
+
+def _far(side, d, n):
+    # cross-section box 40 units away: every level's shifted points miss
+    # the other side's box
+    return grid_from_box(d, side, [-2.0] + [38.0] * (d - 1),
+                         [2.0] + [42.0] * (d - 1), [n] * d)
+
+
+LEVEL_CASES = {
+    # name: (source grid, target grid, zero the outer input slices)
+    "d3-32-40": (box_grid("source", -2.5, 2.5, 32, 3),
+                 box_grid("target", -2.3, 2.3, 40, 3), False),
+    "d4-12-14": (box_grid("source", -2.5, 2.5, 12, 4),
+                 box_grid("target", -2.3, 2.3, 14, 4), False),
+    "mixed": (_mixed("source", 16, 0.25), _mixed("target", 16, 0.3), False),
+    # every level's shifted section runs over both edges of the input box
+    "over-edges": (box_grid("source", -1.0, 1.0, 12, 3),
+                   box_grid("target", -2.6, 2.6, 15, 3), False),
+    "off-box": (box_grid("source", -2.0, 2.0, 12, 3), _far("target", 3, 14),
+                False),
+    "empty-slices": (box_grid("source", -2.5, 2.5, 16, 3),
+                     box_grid("target", -2.2, 2.2, 18, 3), True),
+}
+
+
+class TestLevelKernel:
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    def test_matches_dense_reference(self, case):
+        sg, tg, hollow = LEVEL_CASES[case]
+        plan = TransformPlan(sg, tg)
+        rng = np.random.default_rng(60)
+        for grid, op, ref in ((sg, apply_X, _dense_X),
+                              (tg, apply_X_star, _dense_X_star)):
+            vals = rng.random(grid.shape)
+            if hollow:
+                # zero slices at both ends and in the middle, so some
+                # quadrature nodes see an empty section
+                vals[:4] = vals[-4:] = vals[7:9] = 0.0
+            field = SampledField(grid, vals)
+            want = ref(field, plan)
+            got = op(field, plan).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            if case == "off-box":
+                assert not got.any()
+            else:
+                assert np.max(np.abs(want)) > 0.0
 
 
 def _overlap(a, b, axis, k):
@@ -258,6 +374,12 @@ class TestPlanValidation:
         sg = box_grid("source", -1, 1, 8)
         with pytest.raises(ValueError):
             TransformPlan(sg, sg)
+
+    def test_numpy_integer_quad_accepted(self):
+        sg = box_grid("source", -1, 1, 8)
+        tg = box_grid("target", -1, 1, 8)
+        plan = TransformPlan(sg, tg, np.int64(5), np.int32(6))
+        assert (plan.s_quad, plan.t_quad) == (5, 6)
 
     def test_quad_too_small(self):
         sg = box_grid("source", -1, 1, 8)
