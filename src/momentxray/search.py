@@ -40,6 +40,15 @@ class SearchConfig:
     jitter: float = 0.05
     out_dir: str | None = None
 
+    def __post_init__(self):
+        for name in ("tol_phi", "jitter"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
+
     def exponents(self):
         trip = triple_for_theta(self.d, self.theta)
         if isinstance(trip.q, Infinity):
@@ -55,11 +64,15 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchState:
+    """One iterate.  ``damping_tries`` counts the halvings toward the old
+    iterate (0-3) that the ascent step producing it made."""
+
     it: int
     f: SampledField = dc_field(repr=False)
     g: SampledField = dc_field(repr=False)
     h: SampledField = dc_field(repr=False)
     phi: float = 0.0
+    damping_tries: int = 0
 
 
 @dataclass(frozen=True)
@@ -151,7 +164,7 @@ def ascent_step(state: SearchState, cfg: SearchConfig) -> SearchState:
     u = apply_X_star(state.g, plan)
     raw = np.clip(u.values, 0.0, None) ** expo
     if not raw.any():
-        return replace(state, it=it)
+        return replace(state, it=it, damping_tries=0)
     cand = _evaluate(state.f.with_values(raw), plan, trip, it)
     tries = 0
     while cand.phi < state.phi - PHI_SLACK and tries < 3:
@@ -159,8 +172,8 @@ def ascent_step(state: SearchState, cfg: SearchConfig) -> SearchState:
         cand = _evaluate(state.f.with_values(mid), plan, trip, it)
         tries += 1
     if cand.phi < state.phi - PHI_SLACK:
-        return replace(state, it=it)
-    return cand
+        return replace(state, it=it, damping_tries=tries)
+    return replace(cand, damping_tries=tries)
 
 
 def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
@@ -221,7 +234,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     history = [{"iter": 0, "phi": state.phi,
                 "f_norm": lp_norm(state.f, trip.p),
                 "g_norm": mixed_norm(state.g, qc, rc),
-                "renorm_applied": False}]
+                "renorm_applied": False, "damping_tries": 0}]
     best = state.phi
     stop_reason = "max_iters"
     for it in range(1, cfg.max_iters + 1):
@@ -233,7 +246,8 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         history.append({"iter": it, "phi": state.phi,
                         "f_norm": lp_norm(state.f, trip.p),
                         "g_norm": mixed_norm(state.g, qc, rc),
-                        "renorm_applied": start is not prev})
+                        "renorm_applied": start is not prev,
+                        "damping_tries": state.damping_tries})
         if state.f is start.f:
             stop_reason = "stalled"  # the step kept the old iterate
             break

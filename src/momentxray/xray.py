@@ -18,12 +18,21 @@ X*.  An axis is matched when the input and output spacings agree within
 1e-12 relative; the shifted points are then a translated copy of the input
 lattice.  The resampling has two kernels, chosen once per sweep:
 
-- every cross-section axis matched: a per-level loop of shifted two-tap
-  blends (``_shift_blend``), each a contiguous slice copy and one scaled
-  add.  The level kernel below also runs on matched grids, but there it
-  was 2.0-2.5x faster at 24^3 and 32^3 and slower at 16^4 (0.8x) and 64^3
-  (0.7x), and it changes the last bits of every result, search's pinned
-  outputs included.  So the matched case keeps this loop.
+- every cross-section axis matched: a per-level loop over live windows.
+  The input is zero-bordered once per sweep.  One numpy pass per node
+  (``_live_windows``) finds every level's integer shift m0 and fraction fr
+  per axis, and with them the window of output nodes whose two taps reach
+  the input; levels with an empty window are skipped.  Each remaining
+  level blends only its window, axes first to last, as a (1-fr) + b fr
+  (the second tap only when fr != 0), and adds it into the output.  Each
+  output element gets the same float ops in the same order as in a
+  two-tap ``_shift_blend`` of the whole section per level and axis; the
+  nodes outside the window are exact zeros there and only ever add zeros.
+  So the output is byte-identical to that loop (the reference in the
+  tests), and 1.4-1.9x faster at 32^3, 16^4 and 64^3 on a 2-core host.
+  History: the level kernel below, run on matched grids, was 2.0-2.5x
+  faster at 24^3 and 32^3, slower at 16^4 and 64^3, and changed the last
+  bits.
 - any cross-section axis mismatched: ``_level_sections``, one gather and
   blend per axis for all output levels at once, with per-level two-tap
   indices and hat weights.  It reads two input values per output value,
@@ -107,30 +116,12 @@ def _matched(in_grid: Grid, out_grid: Grid, m: int) -> bool:
     return abs(out_grid.spacing[m] - h_in) <= 1e-12 * h_in
 
 
-def _cross_section(slice_vals: np.ndarray, offsets: np.ndarray,
-                   in_grid: Grid, out_grid: Grid):
-    """Resample a cross-section slice onto out_grid's section shifted by offsets.
-
-    Returns the array of values of the (zero-extended, multilinearly
-    interpolated) slice at points (out-axis nodes + offset) per axis.  Every
-    cross-section axis must be matched.
-    """
-    res = slice_vals
-    for m in range(1, in_grid.d):
-        h_in = in_grid.spacing[m]
-        u0 = (out_grid.origin[m] + offsets[m - 1] - in_grid.origin[m]) / h_in
-        m0 = int(np.floor(u0))
-        res = _shift_blend(res, m - 1, m0, u0 - m0, out_grid.counts[m])
-    return res
-
-
 def _taps(in_grid: Grid, out_grid: Grid, m: int, shifts: np.ndarray):
     """Two-tap indices and hat weights on axis m, shape (levels, n_out) each.
 
     Output node k of level j sits at out-axis node k + shifts[j].  A matched
-    axis takes one u0 per level, as ``_shift_blend`` does, so it blends with
-    the same bits.  Taps off the input axis are clipped onto it and get
-    weight 0.
+    axis takes one u0 per level, as ``_live_windows`` does.  Taps off the
+    input axis are clipped onto it and get weight 0.
     """
     n_in, h_in = in_grid.counts[m], in_grid.spacing[m]
     shifts = shifts[:, None]
@@ -166,7 +157,7 @@ def _level_work(in_grid: Grid, out_grid: Grid):
 
 def _level_sections(section: np.ndarray, offsets: np.ndarray,
                     in_grid: Grid, out_grid: Grid, work):
-    """``_cross_section`` for every output level at once; levels lead.
+    """The section resampled onto every output level's shifted cross-section.
 
     The axes go from last to first, each with one gather of whole blocks
     along its own axis.  The first gathers from the section, which all
@@ -199,6 +190,35 @@ def _level_sections(section: np.ndarray, offsets: np.ndarray,
     return res
 
 
+def _live_windows(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
+    """Blend windows of every output level at once, for the matched kernel.
+
+    On each cross-section axis, output node i of a level blends input nodes
+    m0 + i and m0 + i + 1 with weights 1 - fr and fr, where
+    u0 = (out origin + offset - in origin) / h, m0 = floor(u0) and
+    fr = u0 - m0.  Elementwise numpy gives the same bits as these scalar ops
+    level by level.  Only the window i in [max(0, -m0 - 1),
+    min(n_out, n_in - m0)) reaches the input; outside it the level's
+    section is exactly zero.  Yields, for each level whose windows are all
+    non-empty, the slices of the zero-bordered input (one node wider than
+    the window) and of the output, and the weights fr per axis.
+    """
+    ax = slice(1, in_grid.d)
+    u0 = ((np.array(out_grid.origin[ax]) + offsets
+           - np.array(in_grid.origin[ax])) / np.array(in_grid.spacing[ax]))
+    m0 = np.floor(u0)
+    fr = u0 - m0
+    m0 = m0.astype(np.int64)
+    lo = np.maximum(0, -m0 - 1)
+    hi = np.minimum(np.array(out_grid.counts[ax]),
+                    np.array(in_grid.counts[ax]) - m0)
+    live = np.flatnonzero((hi > lo).all(axis=1))
+    rows = (v[live].tolist() for v in (lo + m0 + 1, hi + m0 + 2, lo, hi, fr))
+    for j, in_lo, in_hi, out_lo, out_hi, frs in zip(live.tolist(), *rows):
+        yield (tuple(map(slice, in_lo, in_hi)),
+               (j,) + tuple(map(slice, out_lo, out_hi)), frs)
+
+
 def _sweep(values: np.ndarray, in_grid: Grid, out_grid: Grid, n_quad: int,
            offsets):
     """Quadrature over in_grid's axis 0 of the incidence-shifted sections.
@@ -210,7 +230,15 @@ def _sweep(values: np.ndarray, in_grid: Grid, out_grid: Grid, n_quad: int,
     out = np.zeros(out_grid.shape)
     batched = not all(_matched(in_grid, out_grid, m)
                       for m in range(1, in_grid.d))
-    work = _level_work(in_grid, out_grid) if batched else None
+    if batched:
+        work = _level_work(in_grid, out_grid)
+    else:
+        # one zero node on each side of every cross-section axis, so both
+        # taps of every node in a live window are in range
+        values = np.pad(values, [(0, 0)] + [(1, 1)] * (in_grid.d - 1))
+        tap_cuts = [((slice(None),) * axis + (slice(None, -1),),
+                     (slice(None),) * axis + (slice(1, None),))
+                    for axis in range(in_grid.d - 1)]
     for u in nodes:
         pos = (u - in_grid.origin[0]) / in_grid.spacing[0]
         m0 = int(np.floor(pos))
@@ -220,9 +248,15 @@ def _sweep(values: np.ndarray, in_grid: Grid, out_grid: Grid, n_quad: int,
         if batched:
             out += _level_sections(section, offsets(u), in_grid, out_grid,
                                    work)
-        else:
-            for j, off in enumerate(offsets(u)):
-                out[j] += _cross_section(section, off, in_grid, out_grid)
+            continue
+        for src, dst, frs in _live_windows(offsets(u), in_grid, out_grid):
+            res = section[src]
+            for (first, second), fr in zip(tap_cuts, frs):
+                blend = res[first] * (1.0 - fr)
+                if fr != 0.0:
+                    blend += fr * res[second]
+                res = blend
+            out[dst] += res
     return out * step
 
 

@@ -425,6 +425,20 @@ class TestSearch:
         doc = json.loads((out_dir / "report.json").read_text())
         assert doc["stopReason"] == reason
 
+    @pytest.mark.parametrize("bad", [["--tol=-1e-4"], ["--max-iters", "-1"],
+                                     ["--jitter=-0.05"]],
+                             ids=["tol", "max-iters", "jitter"])
+    def test_bad_config_exits_65(self, capsys, tmp_path, bad):
+        code, out, err = run(capsys, ["search", "--counts", "8", "--seed",
+                                      "1", "--out", str(tmp_path / "run")]
+                             + bad)
+        assert code == 65
+        assert out == ""
+        assert err.startswith("momentxray search: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "momentxray_run.json").exists()
+
 
 class TestDiagnose:
     def test_battery_passes(self, capsys):

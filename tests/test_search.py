@@ -1,6 +1,7 @@
 """Extremizer search: dual multipliers, power ascent, and localization."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,17 @@ class TestAscent:
             assert nxt.phi >= st.phi - PHI_SLACK
             st = nxt
 
+    def test_damping_tries_counted(self):
+        cfg = SearchConfig(counts=12, seed=3)
+        st = init_state(cfg)
+        assert ascent_step(st, cfg).damping_tries == 0
+        # a Phi no candidate can reach: all three halvings fail and the
+        # step keeps the old iterate
+        unreachable = replace(st, phi=st.phi + 1.0)
+        kept = ascent_step(unreachable, cfg)
+        assert kept.f is st.f
+        assert kept.damping_tries == 3
+
     def test_cube_start_first_step_pinned(self):
         cfg = SearchConfig()
         plan = cfg.plan()
@@ -192,6 +204,16 @@ class TestRunSearch:
         monkeypatch.setattr("momentxray.search.apply_X_star", _no_positive_part)
         assert reason() == "stalled"
 
+    def test_log_records_damping_tries(self, tmp_path):
+        cfg = SearchConfig(counts=12, seed=3, out_dir=str(tmp_path))
+        rep = run_search(cfg)
+        lines = [json.loads(ln) for ln in
+                 (tmp_path / "search_log.jsonl").read_text().splitlines()]
+        tries = [ln["damping_tries"] for ln in lines]
+        assert len(tries) == rep.iters + 1
+        assert all(isinstance(n, int) and 0 <= n <= 3 for n in tries)
+        assert [h["damping_tries"] for h in rep.history] == tries
+
     def test_report_dict_keys(self, tmp_path):
         cfg = SearchConfig(counts=12, seed=3, max_iters=2,
                            out_dir=str(tmp_path))
@@ -199,6 +221,22 @@ class TestRunSearch:
         keys = set(rep.as_dict())
         assert keys == {"bestPhi", "finalPhi", "iters", "converged", "r95",
                         "fieldPath", "logPath"}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kw", [
+        {"tol_phi": float("nan")}, {"tol_phi": float("inf")},
+        {"tol_phi": -1e-4}, {"jitter": float("inf")},
+        {"jitter": float("nan")}, {"jitter": -0.05}, {"max_iters": -1},
+    ], ids=["tol-nan", "tol-inf", "tol-negative", "jitter-inf",
+            "jitter-nan", "jitter-negative", "max-iters-negative"])
+    def test_rejected(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            SearchConfig(**kw)
+
+    def test_zero_budget_and_tolerance_accepted(self):
+        cfg = SearchConfig(max_iters=0, tol_phi=0.0, jitter=0.0)
+        assert (cfg.max_iters, cfg.tol_phi, cfg.jitter) == (0, 0.0, 0.0)
 
 
 def _no_positive_part(g, plan):

@@ -144,9 +144,11 @@ class TestKernelAgreement:
         assert np.max(np.abs(xs_gap)) <= 1e-6
 
 
-# The dense resampling kernel that the level-batched one replaced: one hat
-# matrix per (quadrature node, output level, axis), applied by tensordot.
-# Kept as the reference for the mismatched-spacing path.
+# The resampling kernels that the level-batched and live-window ones
+# replaced, one output level at a time: a hat matrix per (quadrature node,
+# output level, axis) applied by tensordot on a mismatched axis, and a
+# two-tap ``_shift_blend`` over the whole section on a matched one.  Kept
+# as the references for both paths.
 
 def _axis_matrix(targets, origin, spacing, n):
     u = (targets - origin) / spacing
@@ -255,6 +257,94 @@ class TestLevelKernel:
                 assert not got.any()
             else:
                 assert np.max(np.abs(want)) > 0.0
+
+
+def _off_axis(side, d, n, axis):
+    # cross-section axis `axis` spans [38, 42], 40 units from the other
+    # side's: every level's window on that axis alone is empty
+    lo, hi = [-2.0] * d, [2.0] * d
+    lo[axis], hi[axis] = 38.0, 42.0
+    return grid_from_box(d, side, lo, hi, [n] * d)
+
+
+MATCHED_CASES = {
+    # name: (source grid, target grid, quadrature nodes per grid level,
+    #        zero some input slices); every cross-section axis is matched.
+    # On the +-2.5 boxes the larger shifts u gamma(t) push levels partly
+    # and fully off the box on every axis; odd counts put t = 0 and s = 0
+    # on a node, a shift of zero cells.
+    "d3-16": (box_grid("source", -2.5, 2.5, 16, 3),
+              box_grid("target", -2.5, 2.5, 16, 3), 1, False),
+    "d3-15-2n": (box_grid("source", -2.5, 2.5, 15, 3),
+                 box_grid("target", -2.5, 2.5, 15, 3), 2, True),
+    "d4-10": (box_grid("source", -2.5, 2.5, 10, 4),
+              box_grid("target", -2.5, 2.5, 10, 4), 1, True),
+    "d4-9-2n": (box_grid("source", -2.5, 2.5, 9, 4),
+                box_grid("target", -2.5, 2.5, 9, 4), 2, False),
+    # h = 1/8 and half-cell offset origins: t = -1, 0, 1 shift by whole
+    # cells, so fr == 0 on those levels
+    "aligned": (SRC_CUBE, TGT_LINE, 1, False),
+    "off-axis-1": (box_grid("source", -2.0, 2.0, 12, 3),
+                   _off_axis("target", 3, 12, 1), 1, False),
+    "off-axis-2": (box_grid("source", -2.0, 2.0, 12, 3),
+                   _off_axis("target", 3, 12, 2), 1, False),
+}
+
+
+def _window_kinds(in_grid, out_grid, n_quad, offsets):
+    """{(d, axis, kind)} met by the sweep: a level's window on that axis is
+    empty ("dead"), cut by the box ("partial"), or its shift is a whole
+    number of cells ("aligned")."""
+    kinds = set()
+    for u in _quad_nodes(in_grid, n_quad)[0]:
+        off = offsets(u)
+        for m in range(1, in_grid.d):
+            u0 = ((out_grid.origin[m] + off[:, m - 1] - in_grid.origin[m])
+                  / in_grid.spacing[m])
+            m0 = np.floor(u0)
+            lo = np.maximum(0, -m0 - 1)
+            hi = np.minimum(out_grid.counts[m], in_grid.counts[m] - m0)
+            for kind, hit in (("dead", hi <= lo),
+                              ("partial", (hi > lo) & ((lo > 0)
+                                          | (hi < out_grid.counts[m]))),
+                              ("aligned", u0 == m0)):
+                if hit.any():
+                    kinds.add((in_grid.d, m, kind))
+    return kinds
+
+
+class TestMatchedKernel:
+    @pytest.mark.parametrize("case", sorted(MATCHED_CASES))
+    def test_byte_identical_to_shift_blend_loop(self, case):
+        sg, tg, per_level, hollow = MATCHED_CASES[case]
+        plan = TransformPlan(sg, tg, per_level * sg.counts[0],
+                             per_level * tg.counts[0])
+        rng = np.random.default_rng(70)
+        # a positive source field and a sign-changing target field
+        for grid, op, ref, shift in ((sg, apply_X, _dense_X, 0.0),
+                                     (tg, apply_X_star, _dense_X_star, 0.5)):
+            vals = rng.random(grid.shape) - shift
+            if hollow:
+                # empty sections at both ends and in the middle
+                n = grid.counts[0]
+                vals[:3] = vals[-3:] = vals[n // 2 - 1:n // 2 + 1] = 0.0
+            field = SampledField(grid, vals)
+            got = op(field, plan).values
+            assert got.tobytes() == ref(field, plan).tobytes()
+            assert got.any() == (not case.startswith("off-axis"))
+
+    def test_cases_cover_every_window_kind(self):
+        seen = set()
+        for sg, tg, per_level, _ in MATCHED_CASES.values():
+            plan = TransformPlan(sg, tg, per_level * sg.counts[0],
+                                 per_level * tg.counts[0])
+            gam = gamma_eval(plan.d, tg.axis_nodes(0))
+            s_levels = sg.axis_nodes(0)[:, None]
+            seen |= _window_kinds(sg, tg, plan.s_quad, lambda s: s * gam)
+            seen |= _window_kinds(tg, sg, plan.t_quad,
+                                  lambda t: -s_levels * gamma_eval(plan.d, t))
+        assert seen == {(d, m, kind) for d in (3, 4) for m in range(1, d)
+                        for kind in ("dead", "partial", "aligned")}
 
 
 def _overlap(a, b, axis, k):
