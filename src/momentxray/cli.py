@@ -342,6 +342,8 @@ def cmd_partition(p, argv):
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the member table as CSV")
     args = p.parse_args(argv)
+    if args.check < 0:
+        p.error("--check must be >= 0")
     if args.check and args.seed is None:
         p.error("--check is randomized: --seed is required")
     cover = partition(args.ball, float(args.delta), args.theta)
@@ -429,7 +431,8 @@ def cmd_search(p, argv):
     p.add_argument("--box-half", type=number, default=2.5)
     p.add_argument("--max-iters", type=int, default=40)
     p.add_argument("--tol", type=number, default=1e-4)
-    p.add_argument("--renorm-every", type=int, default=5)
+    p.add_argument("--renorm-every", type=int, default=5,
+                   help="renormalise every this many iterations; 0: never")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jitter", type=number, default=0.05)
     p.add_argument("--out", required=True, help="output directory")

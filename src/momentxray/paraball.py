@@ -10,10 +10,17 @@ congruent small paraballs (the members are the base paraball's images of
 the unit-frame net centres), the mock distance between paraballs, Monte
 Carlo intersection volume, the quasi-extremal ratio, and a fitter that
 localizes a near-extremal pair.
+
+Two hot paths avoid repeated work without changing a byte of output.  The
+greedy nets behind a partition depend only on (d, eta1, eta2), so a process
+builds each triple once and keeps the last _NET_CACHE_SIZE of them, read-only
+(see _nets).  Band tests take one band column at a time, with the same float
+operations in the same order as the stacked form (see _band_columns).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -27,6 +34,11 @@ from .field import Grid, SampledField, gamma_eval, lp_norm, mixed_norm
 from .symmetry import (Scale, Shear, Symmetry, Translate, _pack, inverse,
                        map_source, map_target, shear_matrix)
 from .xray import TransformPlan, bilinear
+
+# net triples kept by _nets.  One triple takes 0.6 MB at d = 3, delta = 1/8
+# and 23 MB at d = 4, delta = 1/4; under the 4M-candidate cap a net's
+# nearest-index table alone can reach 32 MB, so the bound is a fixed constant
+_NET_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -77,39 +89,60 @@ def _pack_points(point, d: int) -> np.ndarray:
     return pts
 
 
-def _band_coords(lead, rest, s0, t0, ybar, side: str):
-    """Slab offset and band coordinates in the frame centred at (s0, t0, ybar).
+def _check_side(side: str) -> None:
+    if side not in ("primal", "dual"):
+        raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
+
+
+def _band_columns(lead, rest, s0, t0, ybar, side: str):
+    """Slab offset and the list of d - 1 band columns.
 
     Primal points (s, x) give s - s0 and Q = G_{-t0}(x - ybar - s gamma(t0));
     dual points (t, y) give t - t0 and P_m = [G_{-t0}(y - ybar)]_m
     + s0 (t - t0)^m.  The centre is scalars or per-point arrays, so G_{-t0}
-    is applied as its binomial sum rather than as a matrix.
+    is applied as its binomial sum rather than as a matrix.  Each power of
+    -t0 is taken once, and each sum starts at its first term and adds the
+    others in order, so the float operations are those of the plain sum
+    (only the sign of an exact zero can differ from a sum started at 0).
     """
+    _check_side(side)
     d = np.shape(rest)[-1] + 1
     if side == "primal":
         slab = lead - s0
         v = rest - ybar - np.asarray(lead)[..., None] * gamma_eval(d, t0)
-    elif side == "dual":
+    else:
         slab = lead - t0
         v = rest - ybar
-    else:
-        raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
+    neg = -t0
+    powers = [neg ** k for k in range(d - 1)]
     cols = []
     for m in range(1, d):
-        acc = sum(math.comb(m, i) * (-t0) ** (m - i) * v[..., i - 1]
-                  for i in range(1, m + 1))
+        acc = math.comb(m, 1) * powers[m - 1] * v[..., 0]
+        for i in range(2, m + 1):
+            acc += math.comb(m, i) * powers[m - i] * v[..., i - 1]
         if side == "dual":
-            acc = acc + s0 * slab ** m
+            acc += s0 * slab ** m
         cols.append(acc)
+    return slab, cols
+
+
+def _band_coords(lead, rest, s0, t0, ybar, side: str):
+    """Slab offset and the band columns stacked on the last axis."""
+    slab, cols = _band_columns(lead, rest, s0, t0, ybar, side)
     return slab, np.stack(cols, axis=-1)
 
 
 def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str):
-    """Strict slab condition on the lead coordinate, closed band conditions."""
-    slab, Q = _band_coords(lead, rest, s0, t0, ybar, side)
+    """Strict slab condition on the lead coordinate, closed band conditions.
+
+    The band conditions are ANDed in one column at a time.
+    """
+    slab, cols = _band_columns(lead, rest, s0, t0, ybar, side)
     ok = np.abs(slab) < (alpha if side == "primal" else beta)
-    bands = alpha * beta ** np.arange(1, Q.shape[-1] + 1)
-    return ok & np.all(np.abs(Q) <= bands, axis=-1)
+    bands = alpha * beta ** np.arange(1, len(cols) + 1)
+    for col, band in zip(cols, bands):
+        ok &= np.abs(col) <= band
+    return ok
 
 
 def membership(B: Paraball, point, side: str = "primal"):
@@ -211,6 +244,9 @@ def dual_bbox(B: Paraball):
 
 def sample_points(B: Paraball, n: int, rng, side: str = "primal") -> np.ndarray:
     """n points uniform on the primal or dual shadow (unit-box push-forward)."""
+    _check_side(side)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n!r}")
     u = rng.uniform(-1.0, 1.0, size=(int(n), B.d))
     sig = to_symmetry(B)
     return map_source(sig, u) if side == "primal" else map_target(sig, u)
@@ -247,7 +283,9 @@ class _Net:
     full-lattice update.
 
     Also records, per lattice candidate, the index of its (near-) nearest
-    net point, so nearest-net queries are O(1) lattice lookups.
+    net point, so nearest-net queries are O(1) lattice lookups.  points and
+    _nearest are read-only, because partition shares one net between every
+    cover built at the same scale (see _nets).
     """
 
     def __init__(self, k: int, sep: float):
@@ -279,6 +317,8 @@ class _Net:
         self.M = M
         self.points = flat[chosen]
         self._nearest = nearest.reshape(-1)
+        self.points.flags.writeable = False
+        self._nearest.flags.writeable = False
 
     def query(self, pts: np.ndarray) -> np.ndarray:
         """Index of a net point within ~1.2 separations of each query point."""
@@ -291,6 +331,19 @@ class _Net:
         for a in range(self.k):
             flat = flat * (2 * self.M + 1) + idx[:, a]
         return self._nearest[flat]
+
+
+@functools.lru_cache(maxsize=_NET_CACHE_SIZE)
+def _nets(d: int, eta1: float, eta2: float):
+    """The (s, t, y) nets of a delta-partition at widths (eta1, eta2) in R^d.
+
+    Cached per process: the nets depend only on (d, eta1, eta2), which
+    (d, delta, theta) fix, so partitions of many paraballs at one scale
+    share one set of read-only nets.  The key is (d, eta1, eta2) and at
+    most _NET_CACHE_SIZE triples are kept, the least recently used leaving
+    first.
+    """
+    return _Net(1, eta1), _Net(1, eta2), _Net(d - 1, eta1 * eta2 ** d)
 
 
 class _Members(Sequence):
@@ -331,7 +384,9 @@ class Cover:
     base paraball's image of the unit-frame paraball centred at the net
     point (s_j, t_k, y_i) with widths (2 eta1, 2 eta2), so members live in
     the parent's coordinates.  They are stored as columns (a _Members
-    sequence) and each Paraball is built when it is accessed.
+    sequence) and each Paraball is built when it is accessed.  s_net,
+    t_net and y_net are read-only views of the net points, which every
+    cover at the same (d, delta, theta) in a process shares.
     """
 
     base: Paraball
@@ -354,8 +409,7 @@ class Cover:
 
     def contains(self, points, side: str = "primal") -> np.ndarray:
         """Whether each point lies in the union of members (per-side shadow)."""
-        if side not in ("primal", "dual"):
-            raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
+        _check_side(side)
         d = self.base.d
         z = np.atleast_2d(_pack_points(points, d))
         u = (map_source if side == "primal" else map_target)(
@@ -388,6 +442,11 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     eta1 = delta^{1/d} eta2^{-(d-1)/2}; members have widths (2 eta1, 2 eta2)
     in the unit frame, centred at the net points, and are mapped back by
     to_symmetry(B).
+
+    The nets come from _nets, cached per process by (d, eta1, eta2) with at
+    most _NET_CACHE_SIZE triples kept.  Only a process that partitions at
+    the same (d, delta, theta) more than once gains from the cache; a
+    one-shot ``momentxray partition`` run still builds its nets once.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
@@ -402,9 +461,7 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     eta2 = float(delta) ** float(expo)
     eta1 = float(delta) ** (1.0 / d) * eta2 ** (-(d - 1) / 2.0)
 
-    s_net = _Net(1, eta1)
-    t_net = _Net(1, eta2)
-    y_net = _Net(d - 1, eta1 * eta2 ** d)
+    s_net, t_net, y_net = _nets(d, eta1, eta2)
     s, t, y = s_net.points[:, 0], t_net.points[:, 0], y_net.points
     S, T, Y = _member_centres(s, t, y)
     # the unit-frame member centred at (s_j, t_k, y_i) maps the origin to

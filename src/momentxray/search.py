@@ -46,8 +46,10 @@ class SearchConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be finite and >= 0, got {value!r}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
+        for name in ("max_iters", "renorm_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     def exponents(self):
         trip = triple_for_theta(self.d, self.theta)

@@ -271,6 +271,14 @@ class TestPartition:
             main(self.ARGS + ["--check", "100"])
         assert exc.value.code == 2
 
+    def test_negative_check_rejected_before_output(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--check", "-5", "--seed", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--check must be >= 0" in err
+
     def test_csv_matches_reported_count(self, capsys, tmp_path):
         code, out, _ = run(capsys, self.ARGS + ["--out", "members.csv"])
         assert code == 0
@@ -426,8 +434,10 @@ class TestSearch:
         assert doc["stopReason"] == reason
 
     @pytest.mark.parametrize("bad", [["--tol=-1e-4"], ["--max-iters", "-1"],
-                                     ["--jitter=-0.05"]],
-                             ids=["tol", "max-iters", "jitter"])
+                                     ["--jitter=-0.05"],
+                                     ["--renorm-every", "-5"]],
+                             ids=["tol", "max-iters", "jitter",
+                                  "renorm-every"])
     def test_bad_config_exits_65(self, capsys, tmp_path, bad):
         code, out, err = run(capsys, ["search", "--counts", "8", "--seed",
                                       "1", "--out", str(tmp_path / "run")]

@@ -8,9 +8,14 @@ import pytest
 
 from momentxray.field import (Grid, gamma_eval, grid_from_box, lp_norm,
                               mixed_norm, SampledField)
+from momentxray import paraball
 from momentxray.paraball import (
     Cover,
     _Net,
+    _NET_CACHE_SIZE,
+    _band_coords,
+    _inside,
+    _nets,
     Paraball,
     conjugate,
     dual_bbox,
@@ -82,6 +87,99 @@ class TestMembership:
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
             membership(unit_paraball(D), (0.0, (0.0, 0.0)), "both")
+
+
+def _reference_band_coords(lead, rest, s0, t0, ybar, side):
+    """The stacked band coordinates, each binomial sum started at 0."""
+    d = np.shape(rest)[-1] + 1
+    if side == "primal":
+        slab = lead - s0
+        v = rest - ybar - np.asarray(lead)[..., None] * gamma_eval(d, t0)
+    elif side == "dual":
+        slab = lead - t0
+        v = rest - ybar
+    else:
+        raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
+    cols = []
+    for m in range(1, d):
+        acc = sum(math.comb(m, i) * (-t0) ** (m - i) * v[..., i - 1]
+                  for i in range(1, m + 1))
+        if side == "dual":
+            acc = acc + s0 * slab ** m
+        cols.append(acc)
+    return slab, np.stack(cols, axis=-1)
+
+
+def _reference_inside(lead, rest, s0, t0, ybar, alpha, beta, side):
+    slab, Q = _reference_band_coords(lead, rest, s0, t0, ybar, side)
+    ok = np.abs(slab) < (alpha if side == "primal" else beta)
+    bands = alpha * beta ** np.arange(1, Q.shape[-1] + 1)
+    return ok & np.all(np.abs(Q) <= bands, axis=-1)
+
+
+def _band_case(rng, d, per_point, n=400):
+    """Points and centres in the shapes membership and Cover.contains use.
+
+    A quarter of the points sit on the centre in some coordinates and some
+    centres have t0 = 0, so exact zeros occur in the band sums.
+    """
+    lead = rng.uniform(-3.0, 3.0, n)
+    rest = rng.uniform(-3.0, 3.0, (n, d - 1))
+    shape = (n,) if per_point else ()
+    s0 = rng.uniform(-2.0, 2.0, shape)
+    t0 = rng.uniform(-2.0, 2.0, shape) * (rng.random(shape) < 0.75)
+    ybar = rng.uniform(-2.0, 2.0, shape + (d - 1,))
+    on = rng.random((n, d - 1)) < 0.25
+    rest = np.where(on, np.broadcast_to(ybar, rest.shape), rest)
+    if not per_point:
+        s0, t0 = float(s0), float(t0)
+    return lead, rest, s0, t0, ybar
+
+
+class TestBandColumns:
+    """The column-by-column band test against the stacked reference."""
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("per_point", [False, True],
+                             ids=["scalar-centre", "per-point-centre"])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_same_bytes_as_stacked_sums(self, d, per_point, side):
+        rng = np.random.default_rng(100 * d + 10 * per_point
+                                    + (side == "dual"))
+        for _ in range(10):
+            case = _band_case(rng, d, per_point)
+            slab, Q = _band_coords(*case, side)
+            ref_slab, ref_Q = _reference_band_coords(*case, side)
+            assert slab.tobytes() == ref_slab.tobytes()
+            assert np.array_equal(Q, ref_Q)
+            # only the sign of an exact zero may differ: the reference's
+            # leading 0 + turns -0.0 into +0.0
+            same = Q.view(np.int64) == ref_Q.view(np.int64)
+            assert np.all(same | (ref_Q == 0.0))
+            alpha, beta = rng.uniform(0.25, 4.0, 2)
+            assert np.array_equal(
+                _inside(*case, alpha, beta, side),
+                _reference_inside(*case, alpha, beta, side))
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_membership_and_mock_distance_unchanged(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        balls = [Paraball(*rng.uniform(-2.0, 2.0, 2),
+                          tuple(rng.uniform(-2.0, 2.0, d - 1)),
+                          *rng.uniform(0.25, 4.0, 2)) for _ in range(30)]
+        pts = rng.uniform(-5.0, 5.0, (2000, d))
+        pts[::4, 1:] = balls[0].ybar
+        got_member = [membership(B, pts, side) for B in balls
+                      for side in ("primal", "dual")]
+        got_mock = [mock_distance(A, B) for A in balls for B in balls]
+        monkeypatch.setattr(paraball, "_inside", _reference_inside)
+        monkeypatch.setattr(paraball, "_band_coords", _reference_band_coords)
+        want_member = [membership(B, pts, side) for B in balls
+                       for side in ("primal", "dual")]
+        want_mock = [mock_distance(A, B) for A in balls for B in balls]
+        for got, want in zip(got_member, want_member):
+            assert np.array_equal(got, want)
+        assert got_mock == want_mock
 
 
 class TestVolume:
@@ -170,6 +268,14 @@ class TestSymmetryBridge:
         pts = sample_points(unit_paraball(D), 10_000, rng, "primal")
         mapped = map_source(to_symmetry(B), pts)
         assert membership(B, mapped, "primal").all()
+
+    @pytest.mark.parametrize("n,side,match", [
+        (10, "primla", "side"), (-5, "primal", "n must be >= 0"),
+        (-1, "dual", "n must be >= 0")])
+    def test_sample_points_rejects_bad_arguments(self, n, side, match):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=match):
+            sample_points(unit_paraball(D), n, rng, side)
 
 
 def _corners(d):
@@ -388,6 +494,50 @@ class TestNet:
     def test_seeded_separations_match_full_lattice_greedy(self, k, lo, hi):
         for sep in np.random.default_rng(41 + k).uniform(lo, hi, 4):
             _assert_same_net(_Net(k, float(sep)), k, float(sep))
+
+
+class TestNetCache:
+    def test_covers_at_one_scale_share_their_nets(self):
+        a = partition(unit_paraball(D), 0.25, THETA)
+        b = partition(Paraball(0.2, -0.1, (0.3, 0.1), 1.1, 0.9), 0.25, THETA)
+        for name in ("s", "t", "y"):
+            assert getattr(a, f"_{name}_index") is getattr(b, f"_{name}_index")
+
+    def test_shared_nets_are_read_only(self):
+        cover = partition(unit_paraball(D), 0.25, THETA)
+        net = cover._y_index
+        for arr in (cover.y_net, cover.s_net, cover.t_net, net.points,
+                    net._nearest):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(ValueError):
+            cover.y_net[:] = 1.0
+
+    def test_rebuilt_cover_has_the_same_bytes(self):
+        B = Paraball(0.2, -0.1, (0.3, 0.1), 1.1, 0.9)
+        cached = partition(B, 0.25, THETA)
+        _nets.cache_clear()
+        fresh = partition(B, 0.25, THETA)
+        assert fresh._y_index is not cached._y_index
+        for name in ("s0", "t0", "ybar"):
+            assert (getattr(fresh.members, name).tobytes()
+                    == getattr(cached.members, name).tobytes()), name
+        assert (fresh.members.alpha, fresh.members.beta) == \
+            (cached.members.alpha, cached.members.beta)
+        for name in ("s", "t", "y"):
+            got, want = (getattr(c, f"_{name}_index") for c in (fresh, cached))
+            assert got.points.tobytes() == want.points.tobytes(), name
+            assert got._nearest.tobytes() == want._nearest.tobytes(), name
+            assert (getattr(fresh, f"{name}_net").tobytes()
+                    == getattr(cached, f"{name}_net").tobytes()), name
+
+    def test_cache_stays_within_its_bound(self):
+        deltas = np.linspace(1.0, 0.5, _NET_CACHE_SIZE + 3)
+        for delta in deltas:
+            partition(unit_paraball(D), float(delta), THETA)
+            assert _nets.cache_info().currsize <= _NET_CACHE_SIZE
+        assert _nets.cache_info().maxsize == _NET_CACHE_SIZE
+        assert _nets.cache_info().currsize == _NET_CACHE_SIZE
 
 
 class TestMockDistance:

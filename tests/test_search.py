@@ -228,8 +228,10 @@ class TestConfigValidation:
         {"tol_phi": float("nan")}, {"tol_phi": float("inf")},
         {"tol_phi": -1e-4}, {"jitter": float("inf")},
         {"jitter": float("nan")}, {"jitter": -0.05}, {"max_iters": -1},
+        {"renorm_every": -5},
     ], ids=["tol-nan", "tol-inf", "tol-negative", "jitter-inf",
-            "jitter-nan", "jitter-negative", "max-iters-negative"])
+            "jitter-nan", "jitter-negative", "max-iters-negative",
+            "renorm-every-negative"])
     def test_rejected(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             SearchConfig(**kw)
