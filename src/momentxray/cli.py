@@ -246,10 +246,13 @@ def cmd_transform(p, argv):
     p.add_argument("--direction", choices=["forward", "adjoint"],
                    default="forward")
     p.add_argument("--counts", type=int, default=0,
-                   help="output grid points per axis (default: input count)")
+                   help="output grid points per axis; 0, the default, "
+                   "keeps the input's count")
     p.add_argument("--lo", type=number, default=None)
     p.add_argument("--hi", type=number, default=None)
     args = p.parse_args(argv)
+    if args.counts < 0:
+        p.error("--counts must be >= 0")
     f = read_field(args.field)
     lo_in, hi_in = f.grid.box()
     lo = args.lo if args.lo is not None else float(np.min(lo_in))

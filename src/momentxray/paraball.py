@@ -416,10 +416,9 @@ class Cover:
             inverse(to_symmetry(self.base), d), z)
         lead, rest = u[:, 0], u[:, 1:]
         a, b = 2.0 * self.eta1, 2.0 * self.eta2
-        first = np.zeros(lead.shape[0], dtype=np.int64)
         i = self._y_index.query(rest)
-        j = self._s_index.query(lead) if side == "primal" else first
-        k = first if side == "primal" else self._t_index.query(lead)
+        j = self._s_index.query(lead) if side == "primal" else 0
+        k = 0 if side == "primal" else self._t_index.query(lead)
         ok = _inside(lead, rest, self.s_net[j], self.t_net[k], self.y_net[i],
                      a, b, side)
         # points the lattice lookup misses: test against every member

@@ -14,25 +14,24 @@ for X, so the adjoint identity <Xf, g> = <f, X*g> is a genuine check.
 One incidence sweep serves both: at each quadrature node u of the input's
 axis 0 it interpolates the input slice and resamples it onto every output
 level's cross-section, shifted by u gamma(t) for X and by -s gamma(u) for
-X*.  An axis is matched when the input and output spacings agree within
+X*.  Every interpolation step is a two-tap blend a (1-fr) + b fr of
+neighbouring nodes along one axis.  The sweep pads its input once with one
+zero node on every side of every axis, so each tap lands on an input node
+or on a zero: that border is how both kernels below extend the field by
+zero.  An axis is matched when the input and output spacings agree within
 1e-12 relative; the shifted points are then a translated copy of the input
 lattice.  The resampling has two kernels, chosen once per sweep:
 
 - every cross-section axis matched: a per-level loop over live windows.
-  The input is zero-bordered once per sweep.  One numpy pass per node
-  (``_live_windows``) finds every level's integer shift m0 and fraction fr
-  per axis, and with them the window of output nodes whose two taps reach
-  the input; levels with an empty window are skipped.  Each remaining
-  level blends only its window, axes first to last, as a (1-fr) + b fr
-  (the second tap only when fr != 0), and adds it into the output.  Each
-  output element gets the same float ops in the same order as in a
-  two-tap ``_shift_blend`` of the whole section per level and axis; the
-  nodes outside the window are exact zeros there and only ever add zeros.
-  So the output is byte-identical to that loop (the reference in the
-  tests), and 1.4-1.9x faster at 32^3, 16^4 and 64^3 on a 2-core host.
-  History: the level kernel below, run on matched grids, was 2.0-2.5x
-  faster at 24^3 and 32^3, slower at 16^4 and 64^3, and changed the last
-  bits.
+  One numpy pass per node (``_live_windows``) finds every level's integer
+  shift m0 and fraction fr per axis, and with them the window of output
+  nodes whose two taps reach the input; levels with an empty window are
+  skipped.  Each remaining level blends only its window, axes first to
+  last (the second tap only when fr != 0), and adds it into the output.
+  Each output element gets the same float ops in the same order as in a
+  two-tap blend of the whole section per level and axis; the nodes outside
+  the window are exact zeros there and only ever add zeros.  So the output
+  is byte-identical to that loop (the reference in the tests).
 - any cross-section axis mismatched: ``_level_sections``, one gather and
   blend per axis for all output levels at once, with per-level two-tap
   indices and hat weights.  It reads two input values per output value,
@@ -89,27 +88,6 @@ def _quad_nodes(grid: Grid, n: int):
     return lo[0] + (np.arange(n) + 0.5) * step, step
 
 
-def _shift_blend(arr: np.ndarray, axis: int, m0: int, fr: float, n_out: int):
-    """out[i] = (1-fr) arr[i+m0] + fr arr[i+m0+1] along ``axis``, zero-padded.
-
-    Both taps go into one zero buffer.  The first is copied and scaled in
-    place, so only the second uses numpy's strided arithmetic, which is
-    about twice as slow per element on these small sections.
-    """
-    out = np.zeros(arr.shape[:axis] + (n_out,) + arr.shape[axis + 1:])
-    lead = (slice(None),) * axis
-    for shift in (m0, m0 + 1):
-        lo = max(0, -shift)
-        hi = max(lo, min(n_out, arr.shape[axis] - shift))
-        tap = arr[lead + (slice(lo + shift, hi + shift),)]
-        if shift == m0:
-            out[lead + (slice(lo, hi),)] = tap
-            out *= 1.0 - fr
-        elif fr != 0.0:
-            out[lead + (slice(lo, hi),)] += fr * tap
-    return out
-
-
 def _matched(in_grid: Grid, out_grid: Grid, m: int) -> bool:
     """Whether axis m has the same spacing on both grids (1e-12 relative)."""
     h_in = in_grid.spacing[m]
@@ -120,8 +98,9 @@ def _taps(in_grid: Grid, out_grid: Grid, m: int, shifts: np.ndarray):
     """Two-tap indices and hat weights on axis m, shape (levels, n_out) each.
 
     Output node k of level j sits at out-axis node k + shifts[j].  A matched
-    axis takes one u0 per level, as ``_live_windows`` does.  Taps off the
-    input axis are clipped onto it and get weight 0.
+    axis takes one u0 per level, as ``_live_windows`` does.  The indices are
+    into the zero-bordered input axis, where input node i is node i + 1;
+    taps off the input axis are clipped onto the border, a zero node.
     """
     n_in, h_in = in_grid.counts[m], in_grid.spacing[m]
     shifts = shifts[:, None]
@@ -135,22 +114,21 @@ def _taps(in_grid: Grid, out_grid: Grid, m: int, shifts: np.ndarray):
         m0 = np.floor(u)
         lo = m0.astype(np.int64)
         fr = u - m0
-    w_lo = np.where((lo >= 0) & (lo < n_in), 1.0 - fr, 0.0)
-    w_hi = np.where((lo >= -1) & (lo < n_in - 1), fr, 0.0)
-    return (np.clip(lo, 0, n_in - 1), np.clip(lo + 1, 0, n_in - 1),
-            w_lo, w_hi)
+    return (np.clip(lo + 1, 0, n_in + 1), np.clip(lo + 2, 0, n_in + 1),
+            1.0 - fr, fr)
 
 
 def _level_work(in_grid: Grid, out_grid: Grid):
     """Two gather buffers per cross-section axis for ``_level_sections``.
 
+    The input axes not yet resampled keep their zero border, n + 2 nodes.
     Reused at every quadrature node: fresh arrays of this size cost more in
     page faults than the gathers that fill them.
     """
     work = {}
     for m in range(1, in_grid.d):
-        shape = (in_grid.counts[1:m] + (out_grid.counts[0],)
-                 + out_grid.counts[m:])
+        shape = (tuple(n + 2 for n in in_grid.counts[1:m])
+                 + (out_grid.counts[0],) + out_grid.counts[m:])
         work[m] = (np.empty(shape), np.empty(shape))
     return work
 
@@ -230,19 +208,22 @@ def _sweep(values: np.ndarray, in_grid: Grid, out_grid: Grid, n_quad: int,
     out = np.zeros(out_grid.shape)
     batched = not all(_matched(in_grid, out_grid, m)
                       for m in range(1, in_grid.d))
+    # one zero node on every side of every axis: each tap of either kernel
+    # lands on the input or on a zero
+    values = np.pad(values, 1)
     if batched:
         work = _level_work(in_grid, out_grid)
     else:
-        # one zero node on each side of every cross-section axis, so both
-        # taps of every node in a live window are in range
-        values = np.pad(values, [(0, 0)] + [(1, 1)] * (in_grid.d - 1))
         tap_cuts = [((slice(None),) * axis + (slice(None, -1),),
                      (slice(None),) * axis + (slice(1, None),))
                     for axis in range(in_grid.d - 1)]
     for u in nodes:
         pos = (u - in_grid.origin[0]) / in_grid.spacing[0]
         m0 = int(np.floor(pos))
-        section = _shift_blend(values, 0, m0, pos - m0, 1)[0]
+        fr = pos - m0
+        section = values[m0 + 1] * (1.0 - fr)
+        if fr != 0.0:
+            section += fr * values[m0 + 2]
         if not section.any():
             continue
         if batched:

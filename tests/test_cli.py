@@ -174,6 +174,16 @@ class TestTransform:
         digest = hashlib.sha256((tmp_path / "xf.field").read_bytes())
         assert doc["outputs"]["xf.field"] == "sha256:" + digest.hexdigest()
 
+    def test_negative_counts_rejected_before_output(self, capsys, tmp_path):
+        write_cube(tmp_path / "cube.field")
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--field", "cube.field", "--out", "xf.field",
+                  "--counts", "-5"])
+        assert exc.value.code == 2
+        assert "--counts must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "xf.field").exists()
+        assert not (tmp_path / "momentxray_run.json").exists()
+
     def test_adjoint_needs_target_side(self, capsys, tmp_path):
         write_cube(tmp_path / "cube.field")
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """The restricted X-ray transform, its adjoint, and the shape functional."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from momentxray.symmetry import Symmetry, Translate, pullback_source
 from momentxray.xray import (
     TransformPlan,
     _quad_nodes,
-    _shift_blend,
     apply_X,
     apply_X_star,
     bilinear,
@@ -147,8 +147,29 @@ class TestKernelAgreement:
 # The resampling kernels that the level-batched and live-window ones
 # replaced, one output level at a time: a hat matrix per (quadrature node,
 # output level, axis) applied by tensordot on a mismatched axis, and a
-# two-tap ``_shift_blend`` over the whole section on a matched one.  Kept
-# as the references for both paths.
+# two-tap ``_shift_blend`` over the whole section on a matched one (and on
+# axis 0 for both).  Kept as the references for both paths.
+
+def _shift_blend(arr: np.ndarray, axis: int, m0: int, fr: float, n_out: int):
+    """out[i] = (1-fr) arr[i+m0] + fr arr[i+m0+1] along ``axis``, zero-padded.
+
+    Both taps go into one zero buffer.  The first is copied and scaled in
+    place, so only the second uses numpy's strided arithmetic, which is
+    about twice as slow per element on these small sections.
+    """
+    out = np.zeros(arr.shape[:axis] + (n_out,) + arr.shape[axis + 1:])
+    lead = (slice(None),) * axis
+    for shift in (m0, m0 + 1):
+        lo = max(0, -shift)
+        hi = max(lo, min(n_out, arr.shape[axis] - shift))
+        tap = arr[lead + (slice(lo + shift, hi + shift),)]
+        if shift == m0:
+            out[lead + (slice(lo, hi),)] = tap
+            out *= 1.0 - fr
+        elif fr != 0.0:
+            out[lead + (slice(lo, hi),)] += fr * tap
+    return out
+
 
 def _axis_matrix(targets, origin, spacing, n):
     u = (targets - origin) / spacing
@@ -257,6 +278,27 @@ class TestLevelKernel:
                 assert not got.any()
             else:
                 assert np.max(np.abs(want)) > 0.0
+
+
+class TestQuadNodes:
+    def test_nodes_lie_within_half_a_cell_of_the_levels(self):
+        # the sweep blends levels m0 and m0 + 1, m0 = floor(pos), as taps
+        # m0 + 1 and m0 + 2 of the zero-bordered input (n + 2 levels); an
+        # m0 outside [-1, n - 1] would wrap round in numpy without an error
+        rng = np.random.default_rng(80)
+        for _ in range(40):
+            n = int(rng.integers(2, 70))
+            lo = rng.uniform(-5.0, 5.0)
+            grid = grid_from_box(3, "source", lo, lo + rng.uniform(0.1, 10.0),
+                                 n)
+            coprime = [m for m in range(2, 4 * n) if math.gcd(m, n) == 1]
+            for n_quad in (n, 2 * n, *rng.choice(coprime, 3).tolist()):
+                nodes, _ = _quad_nodes(grid, n_quad)
+                pos = (nodes - grid.origin[0]) / grid.spacing[0]
+                assert len(nodes) == n_quad
+                assert np.all(np.abs(pos - np.clip(pos, 0, n - 1)) <= 0.5)
+                m0 = np.floor(pos)
+                assert m0.min() >= -1 and m0.max() <= n - 1
 
 
 def _off_axis(side, d, n, axis):
