@@ -33,13 +33,33 @@ lattice.  The resampling has two kernels, chosen once per sweep:
   the window are exact zeros there and only ever add zeros.  So the output
   is byte-identical to that loop (the reference in the tests).
 - any cross-section axis mismatched: ``_level_sections``, one gather and
-  blend per axis for all output levels at once, with per-level two-tap
-  indices and hat weights.  It reads two input values per output value,
-  where a dense hat matrix per level and axis read a whole input row.
+  blend per axis for a run of output levels at once, with per-level
+  two-tap indices and hat weights.  At each node ``_live_levels`` finds
+  the first and last level whose taps reach the input on every axis, from
+  the two end nodes of each axis; only that range is resampled.  A level
+  outside it would gather only border zeros, a block of +-0, and ``out``
+  starts at +0 and never holds -0, so adding that block changes nothing.
+  The sweep runs w = min(usable cores, _MAX_WORKERS, block // _MIN_PART)
+  workers, at least one, where block is the output elements a node
+  resamples (levels times output cross-section), and the usable cores are
+  those of the affinity mask, cut to the cgroup CPU quota if one is set.  The levels are dealt out by global parity:
+  worker k takes the levels j = k mod w of every node's range, in node
+  order; worker 0 is the calling thread, the others are threads joined
+  before the sweep returns.  Each level still gets its node contributions
+  in node order from one worker, and a level's values do not depend on
+  which levels share its gather, so the output is byte-identical for any
+  number of workers and to the full-level sweep (the reference in the
+  tests).  Blocks under 2 * _MIN_PART stay on the calling thread, and the
+  matched kernel, whose windows are smaller still, never threads.  Only
+  two workers were ever timed, so _MAX_WORKERS is 2.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import os
+import threading
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -47,6 +67,41 @@ import numpy as np
 
 from .exponents import triple_for_theta
 from .field import Grid, SampledField, gamma_eval, lp_norm, mixed_norm
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on, cut to its cgroup's CPU quota."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cores = os.cpu_count() or 1
+    # cgroup v2 holds "quota period" in one file, v1 in two
+    for files in (("/sys/fs/cgroup/cpu.max",),
+                  ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+                   "/sys/fs/cgroup/cpu/cpu.cfs_period_us")):
+        fields = []
+        try:
+            for path in files:
+                with open(path) as f:
+                    fields += f.read().split()
+            quota, period = int(fields[0]), int(fields[1])
+        except (OSError, ValueError, IndexError):  # absent, or "max"
+            continue
+        if quota > 0 and period > 0:
+            cores = min(cores, max(1, quota // period))
+        break
+    return cores
+
+
+_CORES = _usable_cores()
+# the most workers the batched kernel runs: the count whose gain was
+# measured (two, on a 2-core VM); three or more were never timed
+_MAX_WORKERS = 2
+# output elements per quadrature node for each worker of the batched
+# kernel.  Measured on a shared 2-core VM (numpy 2.4), two threads ran
+# 0.3-0.7x as fast as one at 8k-85k elements per node (each numpy call
+# hands the GIL over), 0.95x at 111k and 1.4-1.5x at 176k-216k.
+_MIN_PART = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,23 +149,28 @@ def _matched(in_grid: Grid, out_grid: Grid, m: int) -> bool:
     return abs(out_grid.spacing[m] - h_in) <= 1e-12 * h_in
 
 
-def _taps(in_grid: Grid, out_grid: Grid, m: int, shifts: np.ndarray):
-    """Two-tap indices and hat weights on axis m, shape (levels, n_out) each.
+def _taps(in_grid: Grid, out_grid: Grid, m: int, shifts: np.ndarray,
+          k=None):
+    """Two-tap indices and hat weights on axis m, shape (levels, len(k)) each.
 
-    Output node k of level j sits at out-axis node k + shifts[j].  A matched
-    axis takes one u0 per level, as ``_live_windows`` does.  The indices are
-    into the zero-bordered input axis, where input node i is node i + 1;
-    taps off the input axis are clipped onto the border, a zero node.
+    Output node k of level j sits at out-axis node k + shifts[j]; k runs
+    over every output node unless given.  A matched axis takes one u0 per
+    level, as ``_live_windows`` does.  The indices are into the
+    zero-bordered input axis, where input node i is node i + 1; taps off the
+    input axis are clipped onto the border, a zero node.  Each entry comes
+    from the same float ops whichever k and levels are asked for.
     """
     n_in, h_in = in_grid.counts[m], in_grid.spacing[m]
+    if k is None:
+        k = np.arange(out_grid.counts[m])
     shifts = shifts[:, None]
     if _matched(in_grid, out_grid, m):
         u0 = (out_grid.origin[m] + shifts - in_grid.origin[m]) / h_in
         m0 = np.floor(u0)
-        lo = m0.astype(np.int64) + np.arange(out_grid.counts[m])
+        lo = m0.astype(np.int64) + k
         fr = np.broadcast_to(u0 - m0, lo.shape)
     else:
-        u = (out_grid.axis_nodes(m) + shifts - in_grid.origin[m]) / h_in
+        u = (out_grid.axis_nodes(m)[k] + shifts - in_grid.origin[m]) / h_in
         m0 = np.floor(u)
         lo = m0.astype(np.int64)
         fr = u - m0
@@ -118,32 +178,50 @@ def _taps(in_grid: Grid, out_grid: Grid, m: int, shifts: np.ndarray):
             1.0 - fr, fr)
 
 
-def _level_work(in_grid: Grid, out_grid: Grid):
-    """Two gather buffers per cross-section axis for ``_level_sections``.
+def _live_levels(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
+    """First and one past the last output level that reaches the input.
 
-    The input axes not yet resampled keep their zero border, n + 2 nodes.
-    Reused at every quadrature node: fresh arrays of this size cost more in
-    page faults than the gathers that fill them.
+    The taps rise along each axis, so a level's taps all lie on the zero
+    border of axis m iff its first node's low tap is past the input
+    (> n_in) or its last node's high tap is before it (< 1).  Such a level
+    resamples to a block of zeros.  Only the two end nodes are computed.
+    """
+    live = np.ones(len(offsets), dtype=bool)
+    for m in range(1, in_grid.d):
+        lo, hi, _, _ = _taps(in_grid, out_grid, m, offsets[:, m - 1],
+                             np.array([0, out_grid.counts[m] - 1]))
+        live &= (lo[:, 0] <= in_grid.counts[m]) & (hi[:, 1] >= 1)
+    idx = np.flatnonzero(live)
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+
+
+def _level_work(in_grid: Grid, out_grid: Grid, n_levels: int):
+    """Two flat gather buffers per cross-section axis for ``_level_sections``.
+
+    Sized for n_levels output levels; fewer levels use a prefix.  The input
+    axes not yet resampled keep their zero border, n + 2 nodes.  Reused at
+    every quadrature node: fresh arrays of this size cost more in page
+    faults than the gathers that fill them.
     """
     work = {}
     for m in range(1, in_grid.d):
-        shape = (tuple(n + 2 for n in in_grid.counts[1:m])
-                 + (out_grid.counts[0],) + out_grid.counts[m:])
-        work[m] = (np.empty(shape), np.empty(shape))
+        size = (math.prod(n + 2 for n in in_grid.counts[1:m]) * n_levels
+                * math.prod(out_grid.counts[m:]))
+        work[m] = (np.empty(size), np.empty(size))
     return work
 
 
 def _level_sections(section: np.ndarray, offsets: np.ndarray,
                     in_grid: Grid, out_grid: Grid, work):
-    """The section resampled onto every output level's shifted cross-section.
+    """The section resampled onto the cross-sections of the given levels.
 
-    The axes go from last to first, each with one gather of whole blocks
-    along its own axis.  The first gathers from the section, which all
-    levels share, and puts the level axis in front of its output axis.
-    Every later axis sits just before that level axis, so block (i, j) of
-    the two is block i * levels + j of their merged axis, and its gather
-    again puts the level axis in front.  The result is laid out as
-    (levels, output axes) without any transpose.
+    offsets holds one row per level.  The axes go from last to first, each
+    with one gather of whole blocks along its own axis.  The first gathers
+    from the section, which all levels share, and puts the level axis in
+    front of its output axis.  Every later axis sits just before that level
+    axis, so block (i, j) of the two is block i * levels + j of their merged
+    axis, and its gather again puts the level axis in front.  The result is
+    laid out as (levels, output axes) without any transpose.
     """
     n_levels = len(offsets)
     levels = np.arange(n_levels)[:, None]
@@ -155,7 +233,9 @@ def _level_sections(section: np.ndarray, offsets: np.ndarray,
             res = res.reshape(res.shape[:axis] + (-1,) + res.shape[axis + 2:])
             lo = lo * n_levels + levels
             hi = hi * n_levels + levels
-        a, b = work[m]
+        shape = res.shape[:axis] + lo.shape + res.shape[axis + 1:]
+        size = math.prod(shape)
+        a, b = (buf[:size].reshape(shape) for buf in work[m])
         # the indices are in range already; mode="clip" only lets take
         # write straight into the buffer
         np.take(res, lo, axis=axis, out=a, mode="clip")
@@ -166,6 +246,61 @@ def _level_sections(section: np.ndarray, offsets: np.ndarray,
         a += b
         res = a
     return res
+
+
+def _level_part(values, tasks, in_grid: Grid, out_grid: Grid,
+                out: np.ndarray, k: int, workers: int):
+    """Worker k's share of the batched sweep: the levels j = k mod workers.
+
+    Walks every node in order and adds the node's blocks for its live
+    levels of that parity into ``out``, so each level gets its node
+    contributions in node order, and no other worker writes to it.
+    """
+    work = _level_work(in_grid, out_grid, -(-out_grid.counts[0] // workers))
+    for u, offsets, j0, j1 in tasks:
+        start = j0 + (k - j0) % workers
+        if start >= j1:
+            continue
+        section = _section(values, in_grid, u)
+        if not section.any():
+            continue
+        mine = slice(start, j1, workers)
+        out[mine] += _level_sections(section, offsets[mine], in_grid,
+                                     out_grid, work)
+
+
+def _run_parts(parts):
+    """Run parts[0] here and the others on threads; all end before return.
+
+    The first exception raised in a worker is raised again after the join.
+    Parts whose thread cannot be started run here after parts[0]; the
+    parts write disjoint levels, so which thread runs one changes no bit.
+    """
+    errors = []
+
+    def guard(part):
+        try:
+            part()
+        except BaseException as exc:  # handed to the calling thread
+            errors.append(exc)
+
+    threads, here = [], parts[:1]
+    try:
+        for i, part in enumerate(parts[1:], 1):
+            t = threading.Thread(target=guard, args=(part,))
+            try:
+                t.start()
+            except RuntimeError:  # no thread to be had
+                here += parts[i:]
+                break
+            threads.append(t)
+        for part in here:
+            part()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def _live_windows(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
@@ -197,6 +332,17 @@ def _live_windows(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
                (j,) + tuple(map(slice, out_lo, out_hi)), frs)
 
 
+def _section(values: np.ndarray, in_grid: Grid, u: float) -> np.ndarray:
+    """The zero-bordered input blended along axis 0 at quadrature node u."""
+    pos = (u - in_grid.origin[0]) / in_grid.spacing[0]
+    m0 = int(np.floor(pos))
+    fr = pos - m0
+    section = values[m0 + 1] * (1.0 - fr)
+    if fr != 0.0:
+        section += fr * values[m0 + 2]
+    return section
+
+
 def _sweep(values: np.ndarray, in_grid: Grid, out_grid: Grid, n_quad: int,
            offsets):
     """Quadrature over in_grid's axis 0 of the incidence-shifted sections.
@@ -206,29 +352,28 @@ def _sweep(values: np.ndarray, in_grid: Grid, out_grid: Grid, n_quad: int,
     """
     nodes, step = _quad_nodes(in_grid, n_quad)
     out = np.zeros(out_grid.shape)
-    batched = not all(_matched(in_grid, out_grid, m)
-                      for m in range(1, in_grid.d))
     # one zero node on every side of every axis: each tap of either kernel
     # lands on the input or on a zero
     values = np.pad(values, 1)
-    if batched:
-        work = _level_work(in_grid, out_grid)
-    else:
-        tap_cuts = [((slice(None),) * axis + (slice(None, -1),),
-                     (slice(None),) * axis + (slice(1, None),))
-                    for axis in range(in_grid.d - 1)]
+    if not all(_matched(in_grid, out_grid, m) for m in range(1, in_grid.d)):
+        tasks = []
+        for u in nodes:
+            off = offsets(u)
+            j0, j1 = _live_levels(off, in_grid, out_grid)
+            if j0 < j1:
+                tasks.append((u, off, j0, j1))
+        workers = max(1, min(_CORES, _MAX_WORKERS,
+                              out.size // _MIN_PART))
+        _run_parts([functools.partial(_level_part, values, tasks, in_grid,
+                                      out_grid, out, k, workers)
+                    for k in range(workers)])
+        return out * step
+    tap_cuts = [((slice(None),) * axis + (slice(None, -1),),
+                 (slice(None),) * axis + (slice(1, None),))
+                for axis in range(in_grid.d - 1)]
     for u in nodes:
-        pos = (u - in_grid.origin[0]) / in_grid.spacing[0]
-        m0 = int(np.floor(pos))
-        fr = pos - m0
-        section = values[m0 + 1] * (1.0 - fr)
-        if fr != 0.0:
-            section += fr * values[m0 + 2]
+        section = _section(values, in_grid, u)
         if not section.any():
-            continue
-        if batched:
-            out += _level_sections(section, offsets(u), in_grid, out_grid,
-                                   work)
             continue
         for src, dst, frs in _live_windows(offsets(u), in_grid, out_grid):
             res = section[src]

@@ -1,11 +1,14 @@
 """The restricted X-ray transform, its adjoint, and the shape functional."""
 
+import io
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from momentxray import xray
 from momentxray.field import (Grid, SampledField, gamma_eval, grid_from_box,
                               lp_norm, mixed_norm)
 from momentxray.symmetry import Symmetry, Translate, pullback_source
@@ -215,17 +218,16 @@ def _dense_sweep(values, in_grid, out_grid, n_quad, offsets):
     return out * step
 
 
-def _dense_X(f, plan):
+def _dense_X(f, plan, sweep=_dense_sweep):
     gam = gamma_eval(plan.d, plan.target_grid.axis_nodes(0))
-    return _dense_sweep(f.values, plan.source_grid, plan.target_grid,
-                        plan.s_quad, lambda s_k: s_k * gam)
+    return sweep(f.values, plan.source_grid, plan.target_grid, plan.s_quad,
+                 lambda s_k: s_k * gam)
 
 
-def _dense_X_star(g, plan):
+def _dense_X_star(g, plan, sweep=_dense_sweep):
     s_levels = plan.source_grid.axis_nodes(0)[:, None]
-    return _dense_sweep(g.values, plan.target_grid, plan.source_grid,
-                        plan.t_quad,
-                        lambda t_k: -s_levels * gamma_eval(plan.d, t_k))
+    return sweep(g.values, plan.target_grid, plan.source_grid, plan.t_quad,
+                 lambda t_k: -s_levels * gamma_eval(plan.d, t_k))
 
 
 def _mixed(side, n, h2):
@@ -278,6 +280,207 @@ class TestLevelKernel:
                 assert not got.any()
             else:
                 assert np.max(np.abs(want)) > 0.0
+
+
+# The level-batched sweep before it skipped dead levels and dealt levels
+# out to threads: every output level at every quadrature node, on the
+# calling thread.  Kept as the byte-exact reference for that kernel.
+
+def _full_taps(in_grid, out_grid, m, shifts):
+    n_in, h_in = in_grid.counts[m], in_grid.spacing[m]
+    shifts = shifts[:, None]
+    if abs(out_grid.spacing[m] - h_in) <= 1e-12 * h_in:
+        u0 = (out_grid.origin[m] + shifts - in_grid.origin[m]) / h_in
+        m0 = np.floor(u0)
+        lo = m0.astype(np.int64) + np.arange(out_grid.counts[m])
+        fr = np.broadcast_to(u0 - m0, lo.shape)
+    else:
+        u = (out_grid.axis_nodes(m) + shifts - in_grid.origin[m]) / h_in
+        m0 = np.floor(u)
+        lo = m0.astype(np.int64)
+        fr = u - m0
+    return (np.clip(lo + 1, 0, n_in + 1), np.clip(lo + 2, 0, n_in + 1),
+            1.0 - fr, fr)
+
+
+def _full_level_sections(section, offsets, in_grid, out_grid):
+    n_levels = len(offsets)
+    levels = np.arange(n_levels)[:, None]
+    res = section
+    for m in range(in_grid.d - 1, 0, -1):
+        lo, hi, w_lo, w_hi = _full_taps(in_grid, out_grid, m,
+                                        offsets[:, m - 1])
+        axis = m - 1
+        if res is not section:
+            res = res.reshape(res.shape[:axis] + (-1,) + res.shape[axis + 2:])
+            lo = lo * n_levels + levels
+            hi = hi * n_levels + levels
+        a = np.take(res, lo, axis=axis)
+        b = np.take(res, hi, axis=axis)
+        tail = (1,) * (in_grid.d - 1 - m)
+        a *= w_lo.reshape(w_lo.shape + tail)
+        b *= w_hi.reshape(w_hi.shape + tail)
+        a += b
+        res = a
+    return res
+
+
+def _full_level_sweep(values, in_grid, out_grid, n_quad, offsets):
+    nodes, step = _quad_nodes(in_grid, n_quad)
+    out = np.zeros(out_grid.shape)
+    values = np.pad(values, 1)
+    for u in nodes:
+        pos = (u - in_grid.origin[0]) / in_grid.spacing[0]
+        m0 = int(np.floor(pos))
+        fr = pos - m0
+        section = values[m0 + 1] * (1.0 - fr)
+        if fr != 0.0:
+            section += fr * values[m0 + 2]
+        if not section.any():
+            continue
+        out += _full_level_sections(section, offsets(u), in_grid, out_grid)
+    return out * step
+
+
+BATCHED_CASES = {
+    # name: (source grid, target grid, quadrature nodes per grid level,
+    #        zero some input slices); some cross-section axis mismatched
+    **{name: (sg, tg, 1, hollow)
+       for name, (sg, tg, hollow) in LEVEL_CASES.items()},
+    # the size of a pairing op's moved plan, where the shifts put about a
+    # quarter of the levels wholly off the box at each node
+    "d3-64-60-2n": (box_grid("source", -3.0, 3.0, 64, 3),
+                    box_grid("target", -2.9, 2.8, 60, 3), 2, True),
+    "d4-14-13-2n": (box_grid("source", -2.5, 2.5, 14, 4),
+                    box_grid("target", -2.2, 2.4, 13, 4), 2, False),
+}
+
+
+def _count_parts(monkeypatch):
+    """Record how many parts each batched sweep runs."""
+    seen = []
+    run = xray._run_parts
+
+    def counting(parts):
+        seen.append(len(parts))
+        run(parts)
+
+    monkeypatch.setattr(xray, "_run_parts", counting)
+    return seen
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("case", sorted(BATCHED_CASES))
+    def test_byte_identical_for_any_worker_count(self, case, monkeypatch):
+        sg, tg, per_level, hollow = BATCHED_CASES[case]
+        plan = TransformPlan(sg, tg, per_level * sg.counts[0],
+                             per_level * tg.counts[0])
+        monkeypatch.setattr(xray, "_MIN_PART", 1)
+        monkeypatch.setattr(xray, "_MAX_WORKERS", 3)
+        seen = _count_parts(monkeypatch)
+        baseline = threading.active_count()
+        rng = np.random.default_rng(90)
+        # a positive source field and a sign-changing target field
+        for grid, op, ref, shift in ((sg, apply_X, _dense_X, 0.0),
+                                     (tg, apply_X_star, _dense_X_star, 0.5)):
+            vals = rng.random(grid.shape) - shift
+            if hollow:
+                n = grid.counts[0]
+                vals[:4] = vals[-4:] = vals[n // 2 - 1:n // 2 + 1] = 0.0
+            field = SampledField(grid, vals)
+            want = ref(field, plan, sweep=_full_level_sweep).tobytes()
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(xray, "_CORES", workers)
+                assert op(field, plan).values.tobytes() == want
+                assert seen[-1] == workers
+                assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_a_failing_part_reaches_the_caller(self, failing, monkeypatch):
+        sg, tg, _ = LEVEL_CASES["d3-32-40"]
+        plan = TransformPlan(sg, tg)
+        monkeypatch.setattr(xray, "_CORES", 3)
+        monkeypatch.setattr(xray, "_MAX_WORKERS", 3)
+        monkeypatch.setattr(xray, "_MIN_PART", 1)
+        part = xray._level_part
+
+        def level_part(*args):
+            if args[5] == failing:
+                raise RuntimeError(f"part {failing} failed")
+            part(*args)
+
+        monkeypatch.setattr(xray, "_level_part", level_part)
+        baseline = threading.active_count()
+        field = SampledField(sg, np.ones(sg.shape))
+        with pytest.raises(RuntimeError, match=f"part {failing} failed"):
+            apply_X(field, plan)
+        assert threading.active_count() == baseline
+
+    def test_parts_without_a_thread_run_on_the_caller(self, monkeypatch):
+        # under a thread limit the sweep still finishes, with the same bytes
+        sg, tg, _ = LEVEL_CASES["d3-32-40"]
+        plan = TransformPlan(sg, tg)
+        field = SampledField(sg, np.random.default_rng(91).random(sg.shape))
+        want = _dense_X(field, plan, sweep=_full_level_sweep).tobytes()
+        monkeypatch.setattr(xray, "_CORES", 3)
+        monkeypatch.setattr(xray, "_MAX_WORKERS", 3)
+        monkeypatch.setattr(xray, "_MIN_PART", 1)
+        start = threading.Thread.start
+        started = []
+
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        baseline = threading.active_count()
+        assert apply_X(field, plan).values.tobytes() == want
+        assert len(started) == 1
+        assert threading.active_count() == baseline
+
+    def test_workers_stay_within_the_measured_count(self, monkeypatch):
+        # only two workers were timed; more cores do not start more
+        monkeypatch.setattr(xray, "_CORES", 8)
+        monkeypatch.setattr(xray, "_MIN_PART", 1)
+        seen = _count_parts(monkeypatch)
+        sg, tg, _ = LEVEL_CASES["d3-32-40"]
+        apply_X(SampledField(sg, np.ones(sg.shape)), TransformPlan(sg, tg))
+        assert seen == [2]
+
+    @pytest.mark.parametrize("files,want", [
+        ({"/sys/fs/cgroup/cpu.max": "150000 100000\n"}, 1),
+        ({"/sys/fs/cgroup/cpu.max": "300000 100000\n"}, 3),
+        ({"/sys/fs/cgroup/cpu.max": "max 100000\n"}, 8),
+        ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "200000\n",
+          "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 2),
+        ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "-1\n",
+          "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 8),
+        ({}, 8),
+    ])
+    def test_usable_cores_respect_a_cpu_quota(self, files, want,
+                                              monkeypatch):
+        def fake_open(path):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+
+        monkeypatch.setattr(xray.os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(xray, "open", fake_open, raising=False)
+        assert xray._usable_cores() == want
+
+    def test_small_blocks_stay_on_the_calling_thread(self, monkeypatch):
+        # two threads ran 0.3-0.7x as fast as one on blocks this small
+        monkeypatch.setattr(xray, "_CORES", 2)
+        seen = _count_parts(monkeypatch)
+        sg, tg, _ = LEVEL_CASES["d3-32-40"]
+        field = SampledField(sg, np.ones(sg.shape))
+        apply_X(field, TransformPlan(sg, tg))
+        # the matched kernel never runs parts
+        apply_X(field, TransformPlan(sg, box_grid("target", -2.5, 2.5, 32)))
+        assert seen == [1]
 
 
 class TestQuadNodes:
