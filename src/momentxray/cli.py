@@ -384,7 +384,6 @@ def cmd_decompose(p, argv):
     p.add_argument("--field", required=True)
     p.add_argument("--mode", choices=["dyadic", "slab", "combined", "trim"],
                    default="dyadic")
-    p.add_argument("--q", type=exponent)
     p.add_argument("--r", type=exponent)
     p.add_argument("--p", type=exponent, default=Fraction(2))
     p.add_argument("--window", type=int, default=1, help="trim width W")
@@ -399,19 +398,18 @@ def cmd_decompose(p, argv):
             header = ["j", "cells", "measure"]
             rows = [(pc.j, int(pc.mask.sum()), pc.measure)
                     for pc in dyadic_decompose(f)]
+        elif args.r is None:
+            p.error(f"{args.mode} mode needs --r")
         elif args.mode == "slab":
-            if args.r is None:
-                p.error("slab mode needs --r")
             header = ["l", "slices"]
             rows = [(pc.l, int(pc.t_mask.sum()))
                     for pc in slab_decompose(f, args.r)]
         else:
-            if args.q is None or args.r is None:
-                p.error("combined mode needs --q and --r")
             header = ["k", "l", "m", "cells", "measure"]
             vol = f.grid.cell_volume
             rows = []
-            for pc in combined_decompose(f, args.q, args.r):
+            # the pieces depend on r only; q is not read
+            for pc in combined_decompose(f, None, args.r):
                 n = int(pc.mask.sum())
                 rows.append((pc.k, pc.l, pc.m, n, n * vol))
         print(f"pieces={len(rows)}")

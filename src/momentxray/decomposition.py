@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .exponents import as_float
-from .field import SampledField
+from .field import SampledField, _slice_integrals
 
 J_FLOOR = -40
 
@@ -74,15 +74,9 @@ def slab_decompose(g: SampledField, r, j_min: int = J_FLOOR):
     rf = as_float(r)
     if rf < 1:
         raise ValueError("r must be >= 1")
-    dy = float(np.prod(g.grid.spacing[1:]))
-    slice_int = (g.values ** rf).sum(axis=tuple(range(1, g.d))) * dy
-    levels = _level_indices(slice_int, j_min)
-    pieces = []
-    for l in np.unique(levels):
-        if l < j_min:
-            continue
-        pieces.append(SlabPiece(l=int(l), t_mask=levels == l))
-    return pieces
+    levels = _level_indices(_slice_integrals(g.values, g.grid, rf), j_min)
+    return [SlabPiece(l=int(l), t_mask=levels == l)
+            for l in np.unique(levels) if l >= j_min]
 
 
 def combined_decompose(g: SampledField, q, r, j_min: int = J_FLOOR):

@@ -4,7 +4,9 @@ Grid convention: nodes sit at cell centers.  A grid with ``origin`` o,
 ``spacing`` h and ``counts`` n covers the box [o - h/2, o + (n - 1)h + h/2]
 per axis, so sums of node values times the cell volume are midpoint
 quadrature rules over that box, and the indicator of the box is exactly
-representable.  Fields are extended by zero outside their box.
+representable.  Fields are extended by zero outside their box.  The Grid
+owns the map both ways: ``axis_nodes`` and ``box`` give coordinates, and
+``locate`` the cell of a coordinate, for every interpolation in the package.
 """
 
 from __future__ import annotations
@@ -61,6 +63,16 @@ class Grid:
     def axes(self):
         return [self.axis_nodes(k) for k in range(self.d)]
 
+    def locate(self, x, axis=slice(None)):
+        """(int64 floor index, fraction) of x = origin + (index + fraction) h.
+
+        x lies on one axis if ``axis`` is an int; for a slice of axes (all by
+        default), x's last axis runs over them.
+        """
+        u = (x - np.asarray(self.origin)[axis]) / np.asarray(self.spacing)[axis]
+        base = np.floor(u)
+        return base.astype(np.int64), u - base
+
     def box(self):
         """(lo, hi) arrays of the covered box (cell cover of the nodes)."""
         o = np.asarray(self.origin)
@@ -70,8 +82,12 @@ class Grid:
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape counts + (d,)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return _lattice(self.axes())
+
+
+def _lattice(axes) -> np.ndarray:
+    """Points of the product of 1-D axes, shape (len(a) for a in axes) + (k,)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def grid_from_box(d: int, side: str, lo, hi, counts) -> Grid:
@@ -146,26 +162,34 @@ def gamma_eval(d: int, t) -> np.ndarray:
     return t[..., None] ** powers
 
 
+def _lq(values: np.ndarray, cell: float, qf: float):
+    """Riemann-sum L^qf norm of nonnegative samples with cell measure
+    ``cell``; the max when qf is infinite."""
+    if np.isinf(qf):
+        return values.max() if values.size else 0.0
+    return ((values ** qf).sum() * cell) ** (1.0 / qf)
+
+
 def lp_norm(f: SampledField, p) -> float:
     """Riemann-sum L^p norm; max norm when p is infinite."""
     pf = as_float(p)
-    absv = np.abs(f.values)
-    if np.isinf(pf):
-        return float(absv.max()) if absv.size else 0.0
     if pf < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((absv ** pf).sum() * f.grid.cell_volume) ** (1.0 / pf)
+    return float(_lq(np.abs(f.values), f.grid.cell_volume, pf))
 
 
-def _slice_r_norms(g: SampledField, r) -> np.ndarray:
-    """Inner L^r norm over y for each t-slice (axis 0)."""
+def _slice_integrals(values: np.ndarray, grid: Grid, rf: float) -> np.ndarray:
+    """Integral of values^rf over y for each t-slice (axis 0)."""
+    dy = float(np.prod(grid.spacing[1:]))
+    return (values ** rf).sum(axis=tuple(range(1, grid.d))) * dy
+
+
+def _slice_r_norms(values: np.ndarray, grid: Grid, r) -> np.ndarray:
+    """Inner L^r norm over y for each t-slice (axis 0) of nonnegative values."""
     rf = as_float(r)
-    vals = g.values
-    yaxes = tuple(range(1, g.d))
     if np.isinf(rf):
-        return vals.max(axis=yaxes)
-    dy = float(np.prod(g.grid.spacing[1:]))
-    return ((vals ** rf).sum(axis=yaxes) * dy) ** (1.0 / rf)
+        return values.max(axis=tuple(range(1, grid.d)))
+    return _slice_integrals(values, grid, rf) ** (1.0 / rf)
 
 
 def mixed_norm(g: SampledField, q, r) -> float:
@@ -174,15 +198,11 @@ def mixed_norm(g: SampledField, q, r) -> float:
         raise ValueError("mixed_norm expects a target-side field")
     if np.any(g.values < 0):
         raise ValueError("mixed_norm requires nonnegative values")
-    qf = as_float(q)
-    rf = as_float(r)
+    qf, rf = as_float(q), as_float(r)
     if (not np.isinf(qf) and qf < 1) or (not np.isinf(rf) and rf < 1):
         raise ValueError("q and r must be >= 1 or inf")
-    inner = _slice_r_norms(g, r)
-    if np.isinf(qf):
-        return float(inner.max()) if inner.size else 0.0
-    dt = g.grid.spacing[0]
-    return float(((inner ** qf).sum() * dt) ** (1.0 / qf))
+    inner = _slice_r_norms(g.values, g.grid, r)
+    return float(_lq(inner, g.grid.spacing[0], qf))
 
 
 def lorentz_source_norm(f: SampledField, p, s) -> float:
@@ -222,10 +242,15 @@ def lorentz_mixed_norm(g: SampledField, q, s, r) -> float:
     slabs = slab_decompose(g, r)
     if not slabs:
         return 0.0
+    qf = as_float(q)
+    if not np.isinf(qf) and qf < 1:  # slab_decompose has checked r
+        raise ValueError("q and r must be >= 1 or inf")
+    inner = _slice_r_norms(g.values, g.grid, r)
     total = 0.0
     for slab in slabs:
-        piece = g.values * slab.t_mask.reshape((-1,) + (1,) * (g.d - 1))
-        total += mixed_norm(g.with_values(piece), q, r) ** sf
+        # g^l is g on slab l's t-slices, so its slice norms are g's there
+        piece = np.where(slab.t_mask, inner, 0.0)
+        total += float(_lq(piece, g.grid.spacing[0], qf)) ** sf
     return float(total ** (1.0 / sf))
 
 
@@ -251,17 +276,15 @@ def interpolate(f: SampledField, points: np.ndarray) -> np.ndarray:
     if pts.shape[-1] != f.d:
         raise ValueError(f"points must have last dimension {f.d}")
     counts = np.asarray(f.grid.counts)
-    u = (pts.reshape(-1, f.d) - f.grid.origin) / f.grid.spacing
-    base = np.floor(u).astype(np.int64)
-    frac = u - base
+    base, frac = f.grid.locate(pts.reshape(-1, f.d))
     weights = (1.0 - frac, frac)
     padded = np.pad(f.values, 1).ravel()
     shape = tuple(counts + 2)
     start = np.ravel_multi_index(tuple(np.clip(base + 1, 0, counts).T), shape)
-    out = np.zeros(u.shape[0])
+    out = np.zeros(len(base))
     for corner in range(1 << f.d):
         bits = [(corner >> k) & 1 for k in range(f.d)]
-        w = np.ones(u.shape[0])
+        w = np.ones(len(base))
         for k in range(f.d):
             w *= weights[bits[k]][:, k]
         out += w * padded[start + np.ravel_multi_index(bits, shape)]

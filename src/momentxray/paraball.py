@@ -30,9 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import Infinity, conj_exponent, inv, triple_for_theta
-from .field import Grid, SampledField, gamma_eval, lp_norm, mixed_norm
-from .symmetry import (Scale, Shear, Symmetry, Translate, _pack, inverse,
-                       map_source, map_target, shear_matrix)
+from .field import (Grid, SampledField, _lattice, gamma_eval, lp_norm,
+                    mixed_norm)
+from .symmetry import (Scale, Shear, Symmetry, Translate, _pack,
+                       _scale_diagonal, _scale_jacobians, inverse, map_source,
+                       map_target, shear_matrix)
 from .xray import TransformPlan, bilinear
 
 # net triples kept by _nets.  One triple takes 0.6 MB at d = 3, delta = 1/8
@@ -68,18 +70,9 @@ class Paraball:
     def d(self) -> int:
         return len(self.ybar) + 1
 
-    @property
-    def xbar(self) -> np.ndarray:
-        """Primal center: ybar + s0 gamma(t0)."""
-        return np.asarray(self.ybar) + self.s0 * gamma_eval(self.d, self.t0)
-
 
 def unit_paraball(d: int) -> Paraball:
     return Paraball(0.0, 0.0, (0.0,) * (d - 1), 1.0, 1.0)
-
-
-def _band_widths(B: Paraball) -> np.ndarray:
-    return B.alpha * B.beta ** np.arange(1, B.d)
 
 
 def _pack_points(point, d: int) -> np.ndarray:
@@ -126,12 +119,6 @@ def _band_columns(lead, rest, s0, t0, ybar, side: str):
     return slab, cols
 
 
-def _band_coords(lead, rest, s0, t0, ybar, side: str):
-    """Slab offset and the band columns stacked on the last axis."""
-    slab, cols = _band_columns(lead, rest, s0, t0, ybar, side)
-    return slab, np.stack(cols, axis=-1)
-
-
 def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str):
     """Strict slab condition on the lead coordinate, closed band conditions.
 
@@ -139,7 +126,7 @@ def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str):
     """
     slab, cols = _band_columns(lead, rest, s0, t0, ybar, side)
     ok = np.abs(slab) < (alpha if side == "primal" else beta)
-    bands = alpha * beta ** np.arange(1, len(cols) + 1)
+    bands = _scale_diagonal(alpha, beta, len(cols) + 1)
     for col, band in zip(cols, bands):
         ok &= np.abs(col) <= band
     return ok
@@ -149,7 +136,7 @@ def membership(B: Paraball, point, side: str = "primal"):
     """Whether primal points (s, x) or dual points (t, y) lie in B's shadow.
 
     The slab condition on the first coordinate is strict and the band
-    conditions (see _band_coords) are closed.
+    conditions (see _band_columns) are closed.
     """
     z = _pack_points(point, B.d)
     ok = _inside(z[..., 0], z[..., 1:], B.s0, B.t0, np.asarray(B.ybar),
@@ -158,8 +145,7 @@ def membership(B: Paraball, point, side: str = "primal"):
 
 
 def volume(B: Paraball) -> float:
-    d = B.d
-    return 2.0 ** d * B.alpha ** d * B.beta ** (d * (d - 1) // 2)
+    return 2.0 ** B.d * _scale_jacobians(B.alpha, B.beta, B.d)[0]
 
 
 def dual_mixed_norm(B: Paraball, theta) -> float:
@@ -171,7 +157,7 @@ def dual_mixed_norm(B: Paraball, theta) -> float:
     iqc = float(1 - inv(trip.q))
     irc = float(1 - inv(trip.r))
     slab = 2.0 * B.beta
-    section = 2.0 ** (d - 1) * B.alpha ** (d - 1) * B.beta ** (d * (d - 1) // 2)
+    section = 2.0 ** (d - 1) * _scale_jacobians(B.alpha, B.beta, d)[1]
     return slab ** iqc * section ** irc
 
 
@@ -213,14 +199,10 @@ def conjugate(sigma: Symmetry, B: Paraball) -> Paraball:
     return from_symmetry(Symmetry(to_symmetry(B).steps + sigma.steps), d=B.d)
 
 
-def _unit_corners(d: int) -> np.ndarray:
-    g = np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij")
-    return np.stack(g, axis=-1).reshape(-1, d)
-
-
 def primal_corners(B: Paraball) -> np.ndarray:
     """Vertices of the primal paraball (it is a parallelepiped)."""
-    return map_source(to_symmetry(B), _unit_corners(B.d))
+    unit = _lattice([(-1.0, 1.0)] * B.d).reshape(-1, B.d)
+    return map_source(to_symmetry(B), unit)
 
 
 def primal_bbox(B: Paraball):
@@ -234,7 +216,7 @@ def dual_bbox(B: Paraball):
     lo = np.empty(d)
     hi = np.empty(d)
     lo[0], hi[0] = B.t0 - B.beta, B.t0 + B.beta
-    c = (B.alpha + abs(B.s0)) * B.beta ** np.arange(1, d)
+    c = _scale_diagonal(B.alpha + abs(B.s0), B.beta, d)
     Gabs = np.abs(shear_matrix(d, B.t0).entries)
     spread = Gabs @ c
     yb = np.asarray(B.ybar)
@@ -294,7 +276,7 @@ class _Net:
         if n ** k > 4_000_000:
             raise ValueError("separation too small for the candidate lattice")
         axis = np.linspace(-1.0, 1.0, n)
-        cand = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1)
+        cand = _lattice([axis] * k)
         flat = cand.reshape(-1, k)
         zero = (flat.shape[0] - 1) // 2
         chosen = [zero]
@@ -422,9 +404,10 @@ class Cover:
         ok = _inside(lead, rest, self.s_net[j], self.t_net[k], self.y_net[i],
                      a, b, side)
         # points the lattice lookup misses: test against every member
-        S, T, Y = _member_centres(self.s_net, self.t_net, self.y_net)
-        for idx in np.flatnonzero(~ok):
-            ok[idx] = _inside(lead[idx], rest[idx], S, T, Y, a, b, side).any()
+        if not ok.all():
+            S, T, Y = _member_centres(self.s_net, self.t_net, self.y_net)
+            for idx in np.flatnonzero(~ok):
+                ok[idx] = _inside(lead[idx], rest[idx], S, T, Y, a, b, side).any()
         return ok
 
 
@@ -486,8 +469,8 @@ def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
     if Ba.d != Bb.d:
         raise ValueError("paraballs must share a dimension")
     d = Ba.d
-    Va = Ba.alpha ** (d - 1) * Ba.beta ** (d * (d - 1) // 2)
-    Vb = Bb.alpha ** (d - 1) * Bb.beta ** (d * (d - 1) // 2)
+    Va = _scale_jacobians(Ba.alpha, Ba.beta, d)[1]
+    Vb = _scale_jacobians(Bb.alpha, Bb.beta, d)[1]
     total = max(Va, Vb) / min(Va, Vb)
     total += Ba.alpha / Bb.alpha + Bb.alpha / Ba.alpha
     total += Ba.beta / Bb.beta + Bb.beta / Ba.beta
@@ -499,13 +482,15 @@ def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
         G = shear_matrix(d, -A.t0).entries
         v = (np.asarray(Bo.ybar) - np.asarray(A.ybar)
              + Bo.s0 * (gamma_eval(d, Bo.t0) - gamma_eval(d, A.t0)))
-        return float(np.sum(np.abs(G @ v) / _band_widths(A)))
+        return float(np.sum(np.abs(G @ v)
+                            / _scale_diagonal(A.alpha, A.beta, d)))
 
     def dual_offset(A, Bo):
         # band coordinates of Bo's dual centre (t0, ybar) in A's dual frame
-        _, p = _band_coords(Bo.t0, np.asarray(Bo.ybar), A.s0, A.t0,
-                            np.asarray(A.ybar), "dual")
-        return float(np.sum(np.abs(p) / _band_widths(A)))
+        _, cols = _band_columns(Bo.t0, np.asarray(Bo.ybar), A.s0, A.t0,
+                                np.asarray(A.ybar), "dual")
+        return float(np.sum(np.abs(cols)
+                            / _scale_diagonal(A.alpha, A.beta, d)))
 
     # mirrored offsets are paired before accumulating so the sum is exactly
     # symmetric under swapping the arguments
@@ -613,16 +598,13 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
         for sweep in range(3):
             shrink = 0.5 ** sweep
             for axis in range(d + 3):
-                if axis == 0:
-                    steps = np.exp(par[d + 1]) * shrink * np.array(
+                if axis < d + 1:
+                    # s0 steps by alpha, t0 by beta, y_m by alpha beta^m; as
+                    # scalars, since numpy's array power can differ by an ulp
+                    al, be = np.exp(par[d + 1]), np.exp(par[d + 2])
+                    width = (al, be, *(al * be ** m for m in range(1, d)))[axis]
+                    steps = width * shrink * np.array(
                         [-0.6, -0.25, 0.0, 0.25, 0.6])
-                elif axis == 1:
-                    steps = np.exp(par[d + 2]) * shrink * np.array(
-                        [-0.6, -0.25, 0.0, 0.25, 0.6])
-                elif axis < d + 1:
-                    m = axis - 1
-                    band = np.exp(par[d + 1]) * np.exp(par[d + 2]) ** m
-                    steps = band * shrink * np.array([-0.6, -0.25, 0.0, 0.25, 0.6])
                 else:
                     steps = shrink * np.array([-0.5, -0.2, 0.0, 0.2, 0.5])
                 for dv in steps:

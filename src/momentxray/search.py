@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import Infinity, as_float, conj_exponent, triple_for_theta
-from .field import (SampledField, _slice_r_norms, grid_from_box, lp_norm,
+from .field import (SampledField, _lq, _slice_r_norms, grid_from_box, lp_norm,
                     mixed_norm, write_field)
 from .paraball import raster_primal, unit_paraball
 from .symmetry import normalize_symmetry, pullback_source
@@ -119,8 +119,8 @@ def dual_map(h: SampledField, q, r) -> SampledField:
     if not (1 < qf < math.inf and 1 < rf < math.inf):
         raise ValueError("dual_map needs finite q, r > 1")
     av = np.abs(h.values)
-    slice_r = _slice_r_norms(h.with_values(av), rf)
-    N = ((slice_r ** qf).sum() * h.grid.spacing[0]) ** (1.0 / qf)
+    slice_r = _slice_r_norms(av, h.grid, rf)
+    N = _lq(slice_r, h.grid.spacing[0], qf)
     if N == 0:
         raise ValueError("dual_map needs a nonzero field")
     fac = np.where(slice_r > 0, slice_r, 1.0) ** (qf - rf)
@@ -178,14 +178,19 @@ def ascent_step(state: SearchState, cfg: SearchConfig) -> SearchState:
     return replace(cand, damping_tries=tries)
 
 
+def _normal_form(f: SampledField, p) -> SampledField:
+    """f pulled back by normalize_symmetry onto its grid (f if no move)."""
+    sig = normalize_symmetry(f, p)
+    return pullback_source(sig, f, p, out_grid=f.grid) if sig.steps else f
+
+
 def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
     """Re-center with the symmetry group; kept only if Phi does not drop."""
     plan = cfg.plan()
     trip = cfg.exponents()
-    sig = normalize_symmetry(state.f, trip.p)
-    if not sig.steps:
+    moved = _normal_form(state.f, trip.p)
+    if moved is state.f:
         return state
-    moved = pullback_source(sig, state.f, trip.p, out_grid=state.f.grid)
     vals = np.clip(moved.values, 0.0, None)
     if not vals.any():
         return state
@@ -197,8 +202,7 @@ def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
 
 def _normalized_profile(f: SampledField, p):
     """Weights |f|^p dV and keys max(|z|, |f|/|f|_p) after re-centering."""
-    sig = normalize_symmetry(f, p)
-    fn = pullback_source(sig, f, p, out_grid=f.grid) if sig.steps else f
+    fn = _normal_form(f, p)
     pf = as_float(p)
     av = np.abs(fn.values).ravel()
     w = av ** pf * fn.grid.cell_volume

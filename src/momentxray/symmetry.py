@@ -13,6 +13,8 @@ with G_{t0} the unit lower-triangular binomial matrix satisfying
 gamma(t + t0) = G_{t0} gamma(t) + gamma(t0).  All three preserve the
 incidence relation x = y + s gamma(t).  Points are passed as arrays whose
 last axis is (s, x_1, ..., x_{d-1}) resp. (t, y_1, ..., y_{d-1}).
+Scale's powers and Jacobians are computed only by ``_scale_diagonal`` and
+``_scale_jacobians``, for the maps, pullbacks and paraball geometry alike.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import Grid, SampledField, gamma_eval, grid_from_box, interpolate
+from .field import (Grid, SampledField, _lattice, gamma_eval, grid_from_box,
+                    interpolate)
 from .exponents import as_float
 
 
@@ -46,6 +49,18 @@ class Scale:
                    for c in (self.alpha, self.beta)):
             raise ValueError(
                 "scale factors must be finite and strictly positive")
+
+
+def _scale_diagonal(alpha, beta, d: int) -> np.ndarray:
+    """alpha beta^m for m = 1..d-1: the diagonal of alpha S_beta."""
+    return alpha * beta ** np.arange(1, d)
+
+
+def _scale_jacobians(alpha, beta, d: int):
+    """(alpha^d beta^k, alpha^(d-1) beta^k), k = d(d-1)/2: the Jacobians of
+    Scale(alpha, beta) on source points (s, x) and on target slices y."""
+    bk = beta ** (d * (d - 1) // 2)
+    return alpha ** d * bk, alpha ** (d - 1) * bk
 
 
 @dataclass(frozen=True)
@@ -119,9 +134,8 @@ def map_source(sigma: Symmetry, point) -> np.ndarray:
         if isinstance(st, Translate):
             z[..., 1:] = z[..., 1:] + np.asarray(st.v)
         elif isinstance(st, Scale):
-            powers = st.beta ** np.arange(1, d)
             z[..., 0] = st.alpha * z[..., 0]
-            z[..., 1:] = st.alpha * powers * z[..., 1:]
+            z[..., 1:] = _scale_diagonal(st.alpha, st.beta, d) * z[..., 1:]
         else:
             G = shear_matrix(d, st.t0).entries
             s_new = z[..., 0] + st.s0
@@ -138,9 +152,8 @@ def map_target(sigma: Symmetry, point) -> np.ndarray:
         if isinstance(st, Translate):
             z[..., 1:] = z[..., 1:] + np.asarray(st.v)
         elif isinstance(st, Scale):
-            powers = st.beta ** np.arange(1, d)
             z[..., 0] = st.beta * z[..., 0]
-            z[..., 1:] = st.alpha * powers * z[..., 1:]
+            z[..., 1:] = _scale_diagonal(st.alpha, st.beta, d) * z[..., 1:]
         else:
             G = shear_matrix(d, st.t0).entries
             y_shift = z[..., 1:] - st.s0 * gamma_eval(d, z[..., 0])
@@ -176,7 +189,7 @@ def source_jacobian(sigma: Symmetry, d: int) -> float:
     jac = 1.0
     for st in sigma.steps:
         if isinstance(st, Scale):
-            jac *= st.alpha ** d * st.beta ** (d * (d - 1) // 2)
+            jac *= _scale_jacobians(st.alpha, st.beta, d)[0]
     return jac
 
 
@@ -187,7 +200,7 @@ def target_factors(sigma: Symmetry, d: int):
     for st in sigma.steps:
         if isinstance(st, Scale):
             dt_fac *= st.beta
-            jy *= st.alpha ** (d - 1) * st.beta ** (d * (d - 1) // 2)
+            jy *= _scale_jacobians(st.alpha, st.beta, d)[1]
     return dt_fac, jy
 
 
@@ -197,10 +210,8 @@ def _conj_inv(e) -> float:
 
 
 def _preimage_grid(sigma: Symmetry, grid: Grid, target_side: bool) -> Grid:
-    lo, hi = grid.box()
     d = grid.d
-    corners = np.stack(np.meshgrid(*[(lo[k], hi[k]) for k in range(d)],
-                                   indexing="ij"), axis=-1).reshape(-1, d)
+    corners = _lattice(zip(*grid.box())).reshape(-1, d)
     inv_sigma = inverse(sigma, d)
     mapped = (map_target if target_side else map_source)(inv_sigma, corners)
     return grid_from_box(d, grid.side, mapped.min(axis=0), mapped.max(axis=0),
@@ -234,14 +245,14 @@ def pullback_target(sigma: Symmetry, g: SampledField, q, r,
     return SampledField(grid=grid, values=const * interpolate(g, pts))
 
 
-def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """Midpoint-convention weighted quantile with linear interpolation."""
+def _weighted_iqr(values: np.ndarray, weights: np.ndarray) -> float:
+    """Interquartile range: midpoint-convention weighted quantiles with
+    linear interpolation, both read off one sort."""
     order = np.argsort(values, kind="stable")
     v = values[order]
     w = weights[order]
-    total = w.sum()
-    cum = (np.cumsum(w) - 0.5 * w) / total
-    return float(np.interp(q, cum, v))
+    cum = (np.cumsum(w) - 0.5 * w) / w.sum()
+    return float(np.interp(0.75, cum, v)) - float(np.interp(0.25, cum, v))
 
 
 def normalize_symmetry(f: SampledField, p) -> Symmetry:
@@ -277,11 +288,9 @@ def normalize_symmetry(f: SampledField, p) -> Symmetry:
     tau = -cov / var_s if var_s > 1e-12 else 0.0
     # spreads after centering and shearing
     ws = w.sum(axis=tuple(range(1, d)))
-    rho_s = (_weighted_quantile(axes[0], ws, 0.75)
-             - _weighted_quantile(axes[0], ws, 0.25))
+    rho_s = _weighted_iqr(axes[0], ws)
     x1_sheared = (x1_c[None, :] + tau * s_c[:, None]).ravel()
-    rho_x = (_weighted_quantile(x1_sheared, w2.ravel(), 0.75)
-             - _weighted_quantile(x1_sheared, w2.ravel(), 0.25))
+    rho_x = _weighted_iqr(x1_sheared, w2.ravel())
     a = 1.0 / rho_s if rho_s > 1e-12 else 1.0
     b = rho_s / rho_x if (rho_x > 1e-12 and rho_s > 1e-12) else 1.0
     normalizer = Symmetry((

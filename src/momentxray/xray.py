@@ -154,26 +154,22 @@ def _taps(in_grid: Grid, out_grid: Grid, m: int, shifts: np.ndarray,
     """Two-tap indices and hat weights on axis m, shape (levels, len(k)) each.
 
     Output node k of level j sits at out-axis node k + shifts[j]; k runs
-    over every output node unless given.  A matched axis takes one u0 per
-    level, as ``_live_windows`` does.  The indices are into the
+    over every output node unless given.  A matched axis locates one point
+    per level, as ``_live_windows`` does.  The indices are into the
     zero-bordered input axis, where input node i is node i + 1; taps off the
     input axis are clipped onto the border, a zero node.  Each entry comes
     from the same float ops whichever k and levels are asked for.
     """
-    n_in, h_in = in_grid.counts[m], in_grid.spacing[m]
+    n_in = in_grid.counts[m]
     if k is None:
         k = np.arange(out_grid.counts[m])
     shifts = shifts[:, None]
     if _matched(in_grid, out_grid, m):
-        u0 = (out_grid.origin[m] + shifts - in_grid.origin[m]) / h_in
-        m0 = np.floor(u0)
-        lo = m0.astype(np.int64) + k
-        fr = np.broadcast_to(u0 - m0, lo.shape)
+        m0, fr = in_grid.locate(out_grid.origin[m] + shifts, m)
+        lo = m0 + k
+        fr = np.broadcast_to(fr, lo.shape)
     else:
-        u = (out_grid.axis_nodes(m)[k] + shifts - in_grid.origin[m]) / h_in
-        m0 = np.floor(u)
-        lo = m0.astype(np.int64)
-        fr = u - m0
+        lo, fr = in_grid.locate(out_grid.axis_nodes(m)[k] + shifts, m)
     return (np.clip(lo + 1, 0, n_in + 1), np.clip(lo + 2, 0, n_in + 1),
             1.0 - fr, fr)
 
@@ -307,21 +303,16 @@ def _live_windows(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
     """Blend windows of every output level at once, for the matched kernel.
 
     On each cross-section axis, output node i of a level blends input nodes
-    m0 + i and m0 + i + 1 with weights 1 - fr and fr, where
-    u0 = (out origin + offset - in origin) / h, m0 = floor(u0) and
-    fr = u0 - m0.  Elementwise numpy gives the same bits as these scalar ops
-    level by level.  Only the window i in [max(0, -m0 - 1),
-    min(n_out, n_in - m0)) reaches the input; outside it the level's
-    section is exactly zero.  Yields, for each level whose windows are all
-    non-empty, the slices of the zero-bordered input (one node wider than
-    the window) and of the output, and the weights fr per axis.
+    m0 + i and m0 + i + 1 with weights 1 - fr and fr, where (m0, fr) is
+    the input grid's ``locate`` of out origin + offset, for all levels in
+    one call.  Only the window i in [max(0, -m0 - 1), min(n_out, n_in - m0))
+    reaches the input; outside it the level's section is exactly zero.
+    Yields, for each level whose windows are all non-empty, the slices of
+    the zero-bordered input (one node wider than the window) and of the
+    output, and the weights fr per axis.
     """
     ax = slice(1, in_grid.d)
-    u0 = ((np.array(out_grid.origin[ax]) + offsets
-           - np.array(in_grid.origin[ax])) / np.array(in_grid.spacing[ax]))
-    m0 = np.floor(u0)
-    fr = u0 - m0
-    m0 = m0.astype(np.int64)
+    m0, fr = in_grid.locate(np.array(out_grid.origin[ax]) + offsets, ax)
     lo = np.maximum(0, -m0 - 1)
     hi = np.minimum(np.array(out_grid.counts[ax]),
                     np.array(in_grid.counts[ax]) - m0)
@@ -334,9 +325,7 @@ def _live_windows(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
 
 def _section(values: np.ndarray, in_grid: Grid, u: float) -> np.ndarray:
     """The zero-bordered input blended along axis 0 at quadrature node u."""
-    pos = (u - in_grid.origin[0]) / in_grid.spacing[0]
-    m0 = int(np.floor(pos))
-    fr = pos - m0
+    m0, fr = in_grid.locate(u, 0)
     section = values[m0 + 1] * (1.0 - fr)
     if fr != 0.0:
         section += fr * values[m0 + 2]

@@ -348,18 +348,17 @@ class TestDecompose:
         # each t-slab of the ones field carries mass 4, hence level 2
         assert lines[1] == "2,8"
 
-    def test_combined_needs_both_exponents(self, capsys, tmp_path):
+    def test_combined_needs_r(self, capsys, tmp_path):
         write_cube(tmp_path / "tcube.field", side="target")
         with pytest.raises(SystemExit) as exc:
-            main(["decompose", "--field", "tcube.field", "--mode", "combined",
-                  "--q", "2"])
+            main(["decompose", "--field", "tcube.field", "--mode", "combined"])
         assert exc.value.code == 2
 
     def test_combined_table(self, capsys, tmp_path):
         write_cube(tmp_path / "tcube.field", side="target")
         code, out, _ = run(capsys, ["decompose", "--field", "tcube.field",
-                                    "--mode", "combined", "--q", "2",
-                                    "--r", "2", "--out", "co.csv"])
+                                    "--mode", "combined", "--r", "2",
+                                    "--out", "co.csv"])
         assert code == 0
         assert line_value(out, "pieces") == "1"
         header = (tmp_path / "co.csv").read_text().splitlines()[0]

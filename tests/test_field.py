@@ -1,13 +1,15 @@
 """Grids, sampled fields, the moment curve, and the norm functionals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentxray.exponents import INF
+from momentxray.decomposition import slab_decompose
+from momentxray.exponents import INF, as_float
 from momentxray.field import (
     Grid,
     MomentCurve,
@@ -95,6 +97,73 @@ class TestGrid:
         f = const_field("source", 0, 1, 4)
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 5.0
+
+
+def _random_grids(rng, count=10):
+    """Grids in d = 3 and 4 with negative and positive origins."""
+    for d in (3, 4):
+        for _ in range(count):
+            lo = rng.uniform(-5.0, 1.0, d)
+            hi = lo + rng.uniform(0.5, 6.0, d)
+            yield grid_from_box(d, "source", lo, hi, rng.integers(2, 40, d))
+
+
+def _grid_points(rng, g, n=500):
+    """Points in and around g's box, the first 200 exactly on nodes."""
+    lo, hi = g.box()
+    pts = rng.uniform(lo - 2.0, hi + 2.0, (n, g.d))
+    idx = rng.integers(0, g.counts, (200, g.d))
+    pts[:200] = np.asarray(g.origin) + np.asarray(g.spacing) * idx
+    return pts
+
+
+class TestGridLocate:
+    """Grid.locate against the inline cell formulas it replaced."""
+
+    def test_all_axes_as_interpolate_did(self):
+        rng = np.random.default_rng(41)
+        for g in _random_grids(rng):
+            pts = _grid_points(rng, g)
+            u = (pts - g.origin) / g.spacing
+            base = np.floor(u).astype(np.int64)
+            idx, frac = g.locate(pts)
+            assert idx.dtype == np.int64
+            assert idx.tobytes() == base.tobytes()
+            assert frac.tobytes() == (u - base).tobytes()
+
+    def test_one_axis_as_the_taps_did(self):
+        rng = np.random.default_rng(42)
+        for g in _random_grids(rng):
+            pts = _grid_points(rng, g)
+            for m in range(g.d):
+                x = pts[:, m].reshape(20, -1)
+                u0 = (x - g.origin[m]) / g.spacing[m]
+                m0 = np.floor(u0)
+                idx, frac = g.locate(x, m)
+                assert idx.tobytes() == m0.astype(np.int64).tobytes()
+                assert frac.tobytes() == (u0 - m0).tobytes()
+
+    def test_scalar_as_the_section_did(self):
+        rng = np.random.default_rng(43)
+        for g in _random_grids(rng, count=4):
+            for u in _grid_points(rng, g, n=250)[:, 0]:
+                pos = (u - g.origin[0]) / g.spacing[0]
+                m0 = int(np.floor(pos))
+                idx, frac = g.locate(u, 0)
+                assert idx == m0
+                assert np.float64(frac).tobytes() == np.float64(
+                    pos - m0).tobytes()
+
+    def test_axis_slice_as_the_live_windows_did(self):
+        rng = np.random.default_rng(44)
+        for g in _random_grids(rng):
+            ax = slice(1, g.d)
+            x = _grid_points(rng, g)[:, ax]
+            u0 = ((x - np.array(g.origin[ax])) / np.array(g.spacing[ax]))
+            m0 = np.floor(u0)
+            idx, frac = g.locate(x, ax)
+            assert idx.tobytes() == m0.astype(np.int64).tobytes()
+            assert frac.tobytes() == (u0 - m0).tobytes()
 
 
 class TestLpNorm:
@@ -252,6 +321,40 @@ class TestLorentzMixed:
         for q, r in [(2, 2), (2, 3), (3, 2)]:
             ratio = lorentz_mixed_norm(f, q, q, r) / mixed_norm(f, q, r)
             assert 0.5 <= ratio <= 2.0
+
+
+def _lorentz_reference(g, q, s, r):
+    """The per-slab sum lorentz_mixed_norm replaced: the mixed norm of g
+    times each slab's t-mask."""
+    sf = as_float(s)
+    total = 0.0
+    for slab in slab_decompose(g, r):
+        piece = g.values * slab.t_mask.reshape((-1,) + (1,) * (g.d - 1))
+        total += mixed_norm(g.with_values(piece), q, r) ** sf
+    return float(total ** (1.0 / sf))
+
+
+class TestLorentzMixedSliceNorms:
+    """lorentz_mixed_norm from slice norms taken once, bit for bit."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_same_float_as_masked_slab_sum(self, d):
+        rng = np.random.default_rng(50 + d)
+        n = 40 if d == 3 else 12
+        g = box_grid("target", -1.0, 1.5, n, d)
+        for _ in range(4):
+            # slices spread over a few dyadic slabs, many slices to a slab,
+            # some of them empty
+            scale = 2.0 ** rng.integers(-2, 3, n)
+            scale[rng.random(n) < 0.2] = 0.0
+            vals = rng.random((n,) * d) * scale.reshape((-1,) + (1,) * (d - 1))
+            f = SampledField(g, vals)
+            for q in (1, 2, Fraction(3, 2), 5, INF):
+                for r in (1, 2, 3, Fraction(5, 2)):
+                    for s in (1, 2, Fraction(7, 3)):
+                        got = lorentz_mixed_norm(f, q, s, r)
+                        want = _lorentz_reference(f, q, s, r)
+                        assert got.hex() == want.hex(), (q, r, s)
 
 
 class TestTruncate:

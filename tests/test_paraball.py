@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from momentxray.exponents import inv, triple_for_theta
 from momentxray.field import (Grid, gamma_eval, grid_from_box, lp_norm,
                               mixed_norm, SampledField)
 from momentxray import paraball
@@ -13,7 +14,7 @@ from momentxray.paraball import (
     Cover,
     _Net,
     _NET_CACHE_SIZE,
-    _band_coords,
+    _band_columns,
     _inside,
     _nets,
     Paraball,
@@ -110,6 +111,11 @@ def _reference_band_coords(lead, rest, s0, t0, ybar, side):
     return slab, np.stack(cols, axis=-1)
 
 
+def _reference_band_columns(lead, rest, s0, t0, ybar, side):
+    slab, Q = _reference_band_coords(lead, rest, s0, t0, ybar, side)
+    return slab, list(np.moveaxis(Q, -1, 0))
+
+
 def _reference_inside(lead, rest, s0, t0, ybar, alpha, beta, side):
     slab, Q = _reference_band_coords(lead, rest, s0, t0, ybar, side)
     ok = np.abs(slab) < (alpha if side == "primal" else beta)
@@ -148,7 +154,8 @@ class TestBandColumns:
                                     + (side == "dual"))
         for _ in range(10):
             case = _band_case(rng, d, per_point)
-            slab, Q = _band_coords(*case, side)
+            slab, cols = _band_columns(*case, side)
+            Q = np.stack(cols, axis=-1)
             ref_slab, ref_Q = _reference_band_coords(*case, side)
             assert slab.tobytes() == ref_slab.tobytes()
             assert np.array_equal(Q, ref_Q)
@@ -173,7 +180,7 @@ class TestBandColumns:
                       for side in ("primal", "dual")]
         got_mock = [mock_distance(A, B) for A in balls for B in balls]
         monkeypatch.setattr(paraball, "_inside", _reference_inside)
-        monkeypatch.setattr(paraball, "_band_coords", _reference_band_coords)
+        monkeypatch.setattr(paraball, "_band_columns", _reference_band_columns)
         want_member = [membership(B, pts, side) for B in balls
                        for side in ("primal", "dual")]
         want_mock = [mock_distance(A, B) for A in balls for B in balls]
@@ -202,6 +209,37 @@ class TestVolume:
         boxvol = float(np.prod(np.asarray(hi) - np.asarray(lo)))
         mc = boxvol * membership(B, pts, "primal").mean()
         assert mc == pytest.approx(volume(B), rel=2e-2)
+
+
+class TestScaleAlgebra:
+    """volume, dual_mixed_norm and the volume term of mock_distance against
+    the inline Scale formulas they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_as_inline_formulas(self, d):
+        rng = np.random.default_rng(70 + d)
+        k = d * (d - 1) // 2
+        centre = (0.3, -0.2, tuple(rng.uniform(-1.0, 1.0, d - 1)))
+        trips = [triple_for_theta(d, th) for th in (THETA, Fraction(1, 3))]
+        for _ in range(300):
+            (aa, ba), (ab, bb) = np.exp(rng.uniform(-4.0, 4.0, (2, 2)))
+            A = Paraball(*centre, aa, ba)
+            B = Paraball(*centre, ab, bb)
+            want = 2.0 ** d * A.alpha ** d * A.beta ** k
+            assert volume(A).hex() == want.hex()
+            for th, trip in zip((THETA, Fraction(1, 3)), trips):
+                iqc = float(1 - inv(trip.q))
+                irc = float(1 - inv(trip.r))
+                section = 2.0 ** (d - 1) * A.alpha ** (d - 1) * A.beta ** k
+                want = (2.0 * A.beta) ** iqc * section ** irc
+                assert dual_mixed_norm(A, th).hex() == want.hex()
+            # coincident centres: every offset term adds an exact zero
+            Va = A.alpha ** (d - 1) * A.beta ** k
+            Vb = B.alpha ** (d - 1) * B.beta ** k
+            want = max(Va, Vb) / min(Va, Vb)
+            want += A.alpha / B.alpha + B.alpha / A.alpha
+            want += A.beta / B.beta + B.beta / A.beta
+            assert mock_distance(A, B).hex() == want.hex()
 
 
 class TestDualMixedNorm:

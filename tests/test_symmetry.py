@@ -198,6 +198,40 @@ class TestJacobians:
         assert dy_fac == pytest.approx((2.0 ** 2 * 3.0 ** 3) * (0.25), rel=1e-12)
 
 
+class TestScaleAlgebra:
+    """source_jacobian, target_factors and the Scale step of the point maps
+    against the inline formulas they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_jacobians_as_inline_formulas(self, d):
+        rng = np.random.default_rng(60 + d)
+        k = d * (d - 1) // 2
+        for _ in range(200):
+            steps = [Scale(*ab) for ab in np.exp(rng.uniform(-4, 4, (3, 2)))]
+            sig = Symmetry((steps[0], Shear(0.3, -0.2), *steps[1:]))
+            jac = dt_fac = jy = 1.0
+            for st in steps:
+                jac *= st.alpha ** d * st.beta ** k
+                dt_fac *= st.beta
+                jy *= st.alpha ** (d - 1) * st.beta ** k
+            assert source_jacobian(sig, d).hex() == jac.hex()
+            got_dt, got_jy = target_factors(sig, d)
+            assert (got_dt.hex(), got_jy.hex()) == (dt_fac.hex(), jy.hex())
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_scale_step_of_the_maps(self, d):
+        rng = np.random.default_rng(65 + d)
+        z = rng.uniform(-3.0, 3.0, (100, d))
+        for alpha, beta in np.exp(rng.uniform(-4, 4, (50, 2))):
+            sig = Symmetry((Scale(alpha, beta),))
+            powers = beta ** np.arange(1, d)
+            for lead, fn in ((alpha, map_source), (beta, map_target)):
+                want = z.copy()
+                want[:, 0] = lead * z[:, 0]
+                want[:, 1:] = alpha * powers * z[:, 1:]
+                assert fn(sig, z).tobytes() == want.tobytes()
+
+
 class TestPullbacks:
     def test_identity_returns_field(self):
         rng = np.random.default_rng(21)
