@@ -9,6 +9,7 @@ as zero so the piece count stays bounded on finite grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -72,8 +73,8 @@ def slab_decompose(g: SampledField, r, j_min: int = J_FLOOR):
     if np.any(g.values < 0):
         raise ValueError("slab_decompose requires nonnegative values")
     rf = as_float(r)
-    if rf < 1:
-        raise ValueError("r must be >= 1")
+    if not 1 <= rf < math.inf:
+        raise ValueError(f"slab_decompose needs a finite r >= 1, got r = {r}")
     levels = _level_indices(_slice_integrals(g.values, g.grid, rf), j_min)
     return [SlabPiece(l=int(l), t_mask=levels == l)
             for l in np.unique(levels) if l >= j_min]

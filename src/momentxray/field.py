@@ -21,6 +21,9 @@ from .exponents import as_float
 
 _SIDES = ("source", "target")
 
+# points per block of a point-wise pipeline; see _blocks
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -83,6 +86,20 @@ class Grid:
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape counts + (d,)."""
         return _lattice(self.axes())
+
+
+def _blocks(n: int):
+    """Slices that cut n points into consecutive blocks of _BLOCK points.
+
+    Block rule: a point-wise pipeline (Cover.contains, array membership,
+    intersection_volume, interpolate) runs its whole chain of numpy passes
+    on one block before it starts the next, so the temporaries of a block
+    stay in cache instead of streaming arrays of every point through
+    memory.  Each point gets the same float operations in the same layout
+    as in one full-array pass, so results do not depend on the block size.
+    _BLOCK is a constant measured once, not an option.
+    """
+    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
 
 
 def _lattice(axes) -> np.ndarray:
@@ -270,26 +287,34 @@ def interpolate(f: SampledField, points: np.ndarray) -> np.ndarray:
     ``points`` has shape S + (d,); the result has shape S.  Border rule: the
     values get one zero node on every side, so each corner is one gather with
     no bounds check and values decay linearly to zero within one cell beyond
-    the boundary nodes.  Points whose cell misses the grid give 0.
+    the boundary nodes.  Points whose cell misses the grid give 0.  The
+    points run in _blocks.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != f.d:
         raise ValueError(f"points must have last dimension {f.d}")
+    flat = pts.reshape(-1, f.d)
     counts = np.asarray(f.grid.counts)
-    base, frac = f.grid.locate(pts.reshape(-1, f.d))
-    weights = (1.0 - frac, frac)
     padded = np.pad(f.values, 1).ravel()
     shape = tuple(counts + 2)
-    start = np.ravel_multi_index(tuple(np.clip(base + 1, 0, counts).T), shape)
-    out = np.zeros(len(base))
-    for corner in range(1 << f.d):
-        bits = [(corner >> k) & 1 for k in range(f.d)]
-        w = np.ones(len(base))
-        for k in range(f.d):
-            w *= weights[bits[k]][:, k]
-        out += w * padded[start + np.ravel_multi_index(bits, shape)]
-    live = np.all((base >= -1) & (base < counts), axis=1)
-    return np.where(live, out, 0.0).reshape(pts.shape[:-1])
+    corners = [[(corner >> k) & 1 for k in range(f.d)]
+               for corner in range(1 << f.d)]
+    offsets = [np.ravel_multi_index(bits, shape) for bits in corners]
+    out = np.empty(len(flat))
+    for blk in _blocks(len(flat)):
+        base, frac = f.grid.locate(flat[blk])
+        weights = (1.0 - frac, frac)
+        start = np.ravel_multi_index(tuple(np.clip(base + 1, 0, counts).T),
+                                     shape)
+        acc = np.zeros(len(base))
+        for bits, offset in zip(corners, offsets):
+            w = np.ones(len(base))
+            for k in range(f.d):
+                w *= weights[bits[k]][:, k]
+            acc += w * padded[start + offset]
+        live = np.all((base >= -1) & (base < counts), axis=1)
+        out[blk] = np.where(live, acc, 0.0)
+    return out.reshape(pts.shape[:-1])
 
 
 def write_field(f: SampledField, path) -> None:

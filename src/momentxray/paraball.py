@@ -11,11 +11,13 @@ the unit-frame net centres), the mock distance between paraballs, Monte
 Carlo intersection volume, the quasi-extremal ratio, and a fitter that
 localizes a near-extremal pair.
 
-Two hot paths avoid repeated work without changing a byte of output.  The
+Three hot paths avoid repeated work without changing a byte of output.  The
 greedy nets behind a partition depend only on (d, eta1, eta2), so a process
 builds each triple once and keeps the last _NET_CACHE_SIZE of them, read-only
 (see _nets).  Band tests take one band column at a time, with the same float
-operations in the same order as the stacked form (see _band_columns).
+operations in the same order as the stacked form (see _band_columns).  Point
+queries (membership, Cover.contains, intersection_volume) run in
+field._blocks.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import Infinity, conj_exponent, inv, triple_for_theta
-from .field import (Grid, SampledField, _lattice, gamma_eval, lp_norm,
-                    mixed_norm)
+from .field import (Grid, SampledField, _blocks, _lattice, gamma_eval,
+                    lp_norm, mixed_norm)
 from .symmetry import (Scale, Shear, Symmetry, Translate, _pack,
                        _scale_diagonal, _scale_jacobians, inverse, map_source,
                        map_target, shear_matrix)
@@ -87,7 +89,15 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
 
 
-def _band_columns(lead, rest, s0, t0, ybar, side: str):
+def _centre_terms(t0, d: int, side: str):
+    """The band test's terms that depend on t0 alone: gamma(t0) on the
+    primal side (None on the dual side) and the powers (-t0)^k, k < d - 1."""
+    neg = -t0
+    return (gamma_eval(d, t0) if side == "primal" else None,
+            [neg ** k for k in range(d - 1)])
+
+
+def _band_columns(lead, rest, s0, t0, ybar, side: str, terms=None):
     """Slab offset and the list of d - 1 band columns.
 
     Primal points (s, x) give s - s0 and Q = G_{-t0}(x - ybar - s gamma(t0));
@@ -97,17 +107,17 @@ def _band_columns(lead, rest, s0, t0, ybar, side: str):
     -t0 is taken once, and each sum starts at its first term and adds the
     others in order, so the float operations are those of the plain sum
     (only the sign of an exact zero can differ from a sum started at 0).
+    ``terms`` is _centre_terms(t0, d, side), when the caller has it.
     """
     _check_side(side)
     d = np.shape(rest)[-1] + 1
+    g, powers = _centre_terms(t0, d, side) if terms is None else terms
     if side == "primal":
         slab = lead - s0
-        v = rest - ybar - np.asarray(lead)[..., None] * gamma_eval(d, t0)
+        v = rest - ybar - np.asarray(lead)[..., None] * g
     else:
         slab = lead - t0
         v = rest - ybar
-    neg = -t0
-    powers = [neg ** k for k in range(d - 1)]
     cols = []
     for m in range(1, d):
         acc = math.comb(m, 1) * powers[m - 1] * v[..., 0]
@@ -119,12 +129,12 @@ def _band_columns(lead, rest, s0, t0, ybar, side: str):
     return slab, cols
 
 
-def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str):
+def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str, terms=None):
     """Strict slab condition on the lead coordinate, closed band conditions.
 
     The band conditions are ANDed in one column at a time.
     """
-    slab, cols = _band_columns(lead, rest, s0, t0, ybar, side)
+    slab, cols = _band_columns(lead, rest, s0, t0, ybar, side, terms)
     ok = np.abs(slab) < (alpha if side == "primal" else beta)
     bands = _scale_diagonal(alpha, beta, len(cols) + 1)
     for col, band in zip(cols, bands):
@@ -136,12 +146,19 @@ def membership(B: Paraball, point, side: str = "primal"):
     """Whether primal points (s, x) or dual points (t, y) lie in B's shadow.
 
     The slab condition on the first coordinate is strict and the band
-    conditions (see _band_columns) are closed.
+    conditions (see _band_columns) are closed.  A single point gives a bool,
+    points of shape S + (d,) an array of shape S, tested in _blocks.
     """
+    _check_side(side)
     z = _pack_points(point, B.d)
-    ok = _inside(z[..., 0], z[..., 1:], B.s0, B.t0, np.asarray(B.ybar),
-                 B.alpha, B.beta, side)
-    return bool(ok) if z.ndim == 1 else ok
+    flat = z.reshape(-1, B.d)
+    ybar = np.asarray(B.ybar)
+    ok = np.empty(len(flat), dtype=bool)
+    for blk in _blocks(len(flat)):
+        zb = flat[blk]
+        ok[blk] = _inside(zb[:, 0], zb[:, 1:], B.s0, B.t0, ybar, B.alpha,
+                          B.beta, side)
+    return bool(ok[0]) if z.ndim == 1 else ok.reshape(z.shape[:-1])
 
 
 def volume(B: Paraball) -> float:
@@ -390,24 +407,38 @@ class Cover:
                 "y": len(self.y_net), "members": len(self.members)}
 
     def contains(self, points, side: str = "primal") -> np.ndarray:
-        """Whether each point lies in the union of members (per-side shadow)."""
+        """Whether each point lies in the union of members (per-side shadow).
+
+        Points run in _blocks: each block is mapped to the unit frame and
+        tested against the member found by the lattice lookup; the points
+        that lookup misses are then tested against every member.
+        """
         _check_side(side)
         d = self.base.d
         z = np.atleast_2d(_pack_points(points, d))
-        u = (map_source if side == "primal" else map_target)(
-            inverse(to_symmetry(self.base), d), z)
-        lead, rest = u[:, 0], u[:, 1:]
+        fmap = map_source if side == "primal" else map_target
+        unit = inverse(to_symmetry(self.base), d)
         a, b = 2.0 * self.eta1, 2.0 * self.eta2
-        i = self._y_index.query(rest)
-        j = self._s_index.query(lead) if side == "primal" else 0
-        k = 0 if side == "primal" else self._t_index.query(lead)
-        ok = _inside(lead, rest, self.s_net[j], self.t_net[k], self.y_net[i],
-                     a, b, side)
-        # points the lattice lookup misses: test against every member
-        if not ok.all():
+        ok = np.empty(len(z), dtype=bool)
+        missed = []
+        for blk in _blocks(len(z)):
+            u = fmap(unit, z[blk])
+            lead, rest = u[:, 0], u[:, 1:]
+            i = self._y_index.query(rest)
+            j = self._s_index.query(lead) if side == "primal" else 0
+            k = 0 if side == "primal" else self._t_index.query(lead)
+            hit = _inside(lead, rest, self.s_net[j], self.t_net[k],
+                          self.y_net[i], a, b, side)
+            ok[blk] = hit
+            if not hit.all():
+                missed.append(u[~hit])
+        # points the lattice lookup misses: test against every member, whose
+        # centres and t-terms are built once per call
+        if missed:
             S, T, Y = _member_centres(self.s_net, self.t_net, self.y_net)
-            for idx in np.flatnonzero(~ok):
-                ok[idx] = _inside(lead[idx], rest[idx], S, T, Y, a, b, side).any()
+            terms = _centre_terms(T, d, side)
+            ok[~ok] = [_inside(p[0], p[1:], S, T, Y, a, b, side, terms).any()
+                       for p in np.concatenate(missed)]
         return ok
 
 
@@ -511,10 +542,14 @@ def intersection_volume(Ba: Paraball, Bb: Paraball, n: int = 100_000,
     small, large = (Ba, Bb) if volume(Ba) <= volume(Bb) else (Bb, Ba)
     lo, hi = primal_bbox(small)
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(size=(int(n), Ba.d)) * (hi - lo) + lo
-    # membership is pointwise, so the larger ball sees only the hits
-    pts = pts[membership(small, pts, "primal")]
-    hits = np.count_nonzero(membership(large, pts, "primal"))
+    hits = 0
+    # drawn in _blocks from one generator, so the sample stream is that of
+    # one full draw; membership is pointwise, so the larger ball sees only
+    # the hits
+    for blk in _blocks(int(n)):
+        pts = rng.uniform(size=(blk.stop - blk.start, Ba.d)) * (hi - lo) + lo
+        pts = pts[membership(small, pts, "primal")]
+        hits += np.count_nonzero(membership(large, pts, "primal"))
     box_vol = float(np.prod(hi - lo))
     return box_vol * float(hits) / float(n)
 

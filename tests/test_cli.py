@@ -533,6 +533,19 @@ class TestErrorContract:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "momentxray_run.json").exists()
 
+    def test_slab_with_infinite_r_exits_65(self, capsys, tmp_path):
+        g = grid_from_box(3, "target", -1, 1, 4)
+        write_field(SampledField(g, np.full((4, 4, 4), 2.0)),
+                    tmp_path / "g.field")
+        code, out, err = run(capsys, ["decompose", "--field", "g.field",
+                                      "--mode", "slab", "--r", "inf"])
+        assert code == 65
+        assert out == ""
+        assert err.startswith("momentxray decompose: error: ")
+        assert "r = inf" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "momentxray_run.json").exists()
+
     def test_malformed_header_exits_65(self, capsys, tmp_path):
         header = {"d": 3, "side": "source", "spacing": [1, 1, 1],
                   "counts": [2, 2, 2]}

@@ -10,7 +10,9 @@ from momentxray.decomposition import (
     slab_decompose,
     trim_frequency,
 )
-from momentxray.field import SampledField, lp_norm, mixed_norm
+from momentxray.exponents import INF
+from momentxray.field import (SampledField, lorentz_mixed_norm, lp_norm,
+                              mixed_norm)
 
 from conftest import box_grid
 
@@ -102,6 +104,19 @@ class TestSlab:
         f = positive_field("source", 4, 3)
         with pytest.raises(ValueError):
             slab_decompose(f, 2)
+
+    @pytest.mark.parametrize("value", [2.0, 0.5])
+    def test_rejects_infinite_r(self, value):
+        # g^inf is inf above 1 and 0 below it, so no slice has a level
+        g = box_grid("target", 0, 1, 4)
+        f = SampledField(g, np.full((4, 4, 4), value))
+        for r in (INF, float("inf")):
+            with pytest.raises(ValueError, match="r = inf"):
+                slab_decompose(f, r)
+            with pytest.raises(ValueError, match="r = inf"):
+                combined_decompose(f, 2, r)
+            with pytest.raises(ValueError, match="r = inf"):
+                lorentz_mixed_norm(f, 2, 2, r)
 
 
 class TestCombined:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from momentxray.decomposition import slab_decompose
 from momentxray.exponents import INF, as_float
 from momentxray.field import (
+    _BLOCK,
     Grid,
     MomentCurve,
     SampledField,
@@ -484,6 +485,54 @@ class TestInterpolateBorder:
         pts[2, 1] = -np.inf
         with np.errstate(invalid="ignore"):
             assert np.array_equal(interpolate(f, pts), np.zeros(3))
+
+
+def _unblocked_interpolate(f, points):
+    """interpolate as one pass over every point, before it ran in blocks."""
+    pts = np.asarray(points, dtype=float)
+    counts = np.asarray(f.grid.counts)
+    base, frac = f.grid.locate(pts.reshape(-1, f.d))
+    weights = (1.0 - frac, frac)
+    padded = np.pad(f.values, 1).ravel()
+    shape = tuple(counts + 2)
+    start = np.ravel_multi_index(tuple(np.clip(base + 1, 0, counts).T), shape)
+    out = np.zeros(len(base))
+    for corner in range(1 << f.d):
+        bits = [(corner >> k) & 1 for k in range(f.d)]
+        w = np.ones(len(base))
+        for k in range(f.d):
+            w *= weights[bits[k]][:, k]
+        out += w * padded[start + np.ravel_multi_index(bits, shape)]
+    live = np.all((base >= -1) & (base < counts), axis=1)
+    return np.where(live, out, 0.0).reshape(pts.shape[:-1])
+
+
+class TestInterpolateBlocks:
+    """interpolate in blocks of points gives the bytes of one pass."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_same_bytes_as_one_pass(self, d):
+        rng = np.random.default_rng(90 + d)
+        f = TestInterpolateBorder._field(rng, d)
+        for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+            pts = TestInterpolateBorder._points(rng, f, -1.5, 1.5, n)
+            got = interpolate(f, pts)
+            want = _unblocked_interpolate(f, pts)
+            assert got.shape == want.shape == (n,)
+            assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_leading_shapes_and_a_single_point(self, d):
+        rng = np.random.default_rng(95 + d)
+        f = TestInterpolateBorder._field(rng, d)
+        pts = TestInterpolateBorder._points(rng, f, -1.5, 1.5,
+                                            3 * (_BLOCK + 1))
+        for shaped in (pts.reshape(_BLOCK + 1, 3, d), pts[0],
+                       pts[:0].reshape(0, 5, d)):
+            got = interpolate(f, shaped)
+            want = _unblocked_interpolate(f, shaped)
+            assert got.shape == want.shape == shaped.shape[:-1]
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFieldIO:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from momentxray.exponents import inv, triple_for_theta
-from momentxray.field import (Grid, gamma_eval, grid_from_box, lp_norm,
+from momentxray import field
+from momentxray.field import (_BLOCK, Grid, gamma_eval, grid_from_box, lp_norm,
                               mixed_norm, SampledField)
 from momentxray import paraball
 from momentxray.paraball import (
@@ -44,6 +45,7 @@ from momentxray.symmetry import (
     Translate,
     compose,
     identity,
+    inverse,
     map_source,
     map_target,
     pullback_source,
@@ -637,6 +639,127 @@ class TestIntersectionVolume:
         C = Paraball(0.3, 0.1, (0.2, 0.0), 1.2, 0.8)
         assert intersection_volume(B, C, seed=5) == intersection_volume(
             B, C, seed=5)
+
+
+# the point-wise pipelines as one pass over every point, before they ran
+# in blocks; each lattice miss is scanned on its own against every member
+
+
+def _unblocked_membership(B, point, side):
+    z = paraball._pack_points(point, B.d)
+    ok = _inside(z[..., 0], z[..., 1:], B.s0, B.t0, np.asarray(B.ybar),
+                 B.alpha, B.beta, side)
+    return bool(ok) if z.ndim == 1 else ok
+
+
+def _unblocked_contains(cover, points, side):
+    d = cover.base.d
+    z = np.atleast_2d(paraball._pack_points(points, d))
+    u = (map_source if side == "primal" else map_target)(
+        inverse(to_symmetry(cover.base), d), z)
+    lead, rest = u[:, 0], u[:, 1:]
+    a, b = 2.0 * cover.eta1, 2.0 * cover.eta2
+    i = cover._y_index.query(rest)
+    j = cover._s_index.query(lead) if side == "primal" else 0
+    k = 0 if side == "primal" else cover._t_index.query(lead)
+    ok = _inside(lead, rest, cover.s_net[j], cover.t_net[k], cover.y_net[i],
+                 a, b, side)
+    if not ok.all():
+        S, T, Y = paraball._member_centres(cover.s_net, cover.t_net,
+                                           cover.y_net)
+        for idx in np.flatnonzero(~ok):
+            ok[idx] = _inside(lead[idx], rest[idx], S, T, Y, a, b,
+                              side).any()
+    return ok
+
+
+def _unblocked_intersection_volume(Ba, Bb, n=100_000, seed=0):
+    small, large = (Ba, Bb) if volume(Ba) <= volume(Bb) else (Bb, Ba)
+    lo, hi = primal_bbox(small)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(int(n), Ba.d)) * (hi - lo) + lo
+    pts = pts[_unblocked_membership(small, pts, "primal")]
+    hits = np.count_nonzero(_unblocked_membership(large, pts, "primal"))
+    box_vol = float(np.prod(hi - lo))
+    return box_vol * float(hits) / float(n)
+
+
+SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+# half-width of the unit-frame box the cover tests draw from, per side, so
+# that many points miss the lattice lookup and many lie in no member
+SPREAD = {"primal": 4.0, "dual": 3.0}
+
+
+def _ball(rng, d):
+    return Paraball(*rng.uniform(-0.8, 0.8, 2),
+                    tuple(rng.uniform(-1.0, 1.0, d - 1)),
+                    *rng.uniform(0.6, 1.4, 2))
+
+
+class TestBlocks:
+    """Point queries in blocks give the bytes of one pass over all points."""
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_membership(self, d, side):
+        rng = np.random.default_rng(60 + d)
+        for n in SIZES:
+            B = _ball(rng, d)
+            pts = map_source(to_symmetry(B), rng.uniform(-2.0, 2.0, (n, d)))
+            got = membership(B, pts, side)
+            assert got.tobytes() == _unblocked_membership(B, pts, side).tobytes()
+        shaped = pts.reshape(-1, 5, d)
+        got = membership(B, shaped, side)
+        assert got.shape == shaped.shape[:-1]
+        assert got.tobytes() == _unblocked_membership(B, shaped,
+                                                      side).tobytes()
+        for point in pts[:20]:
+            got = membership(B, point, side)
+            assert type(got) is bool
+            assert got == _unblocked_membership(B, point, side)
+        with pytest.raises(ValueError):
+            membership(B, pts[:0], "both")
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("d,delta", [(3, 0.25), (4, 0.5)])
+    def test_contains_with_misses(self, d, delta, side):
+        B = _ball(np.random.default_rng(d), d)
+        cover = partition(B, delta, THETA)
+        fmap = map_source if side == "primal" else map_target
+        rng = np.random.default_rng(70 + d)
+        for n in SIZES:
+            pts = fmap(to_symmetry(B),
+                       rng.uniform(-SPREAD[side], SPREAD[side], (n, d)))
+            got = cover.contains(pts, side)
+            assert got.shape == (n,)
+            assert got.tobytes() == _unblocked_contains(cover, pts,
+                                                        side).tobytes(), n
+        assert cover.contains(pts[0], side).tobytes() == _unblocked_contains(
+            cover, pts[0], side).tobytes()
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_misses_from_many_blocks(self, side, monkeypatch):
+        # small blocks: the misses of many point blocks are gathered and
+        # scanned against every member, in point order
+        B = _ball(np.random.default_rng(5), 3)
+        cover = partition(B, 0.25, THETA)
+        fmap = map_source if side == "primal" else map_target
+        pts = fmap(to_symmetry(B), np.random.default_rng(6).uniform(
+            -SPREAD[side], SPREAD[side], (2000, 3)))
+        want = _unblocked_contains(cover, pts, side)
+        monkeypatch.setattr(field, "_BLOCK", 64)
+        assert cover.contains(pts, side).tobytes() == want.tobytes()
+        assert want.any() and not want.all()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_intersection_volume(self, d):
+        rng = np.random.default_rng(80 + d)
+        for n in SIZES[1:] + (100_000,):
+            A = _ball(rng, d)
+            for C in (scale(A, float(rng.uniform(0.5, 1.5))), _ball(rng, d)):
+                got = intersection_volume(A, C, n, seed=n)
+                want = _unblocked_intersection_volume(A, C, n, seed=n)
+                assert got.hex() == want.hex(), n
 
 
 def _unit_pair(n=32):
