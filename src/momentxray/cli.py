@@ -396,7 +396,7 @@ def cmd_decompose(p, argv):
     else:
         if args.mode == "dyadic":
             header = ["j", "cells", "measure"]
-            rows = [(pc.j, int(pc.mask.sum()), pc.measure)
+            rows = [(pc.j, pc.cells, pc.measure)
                     for pc in dyadic_decompose(f)]
         elif args.r is None:
             p.error(f"{args.mode} mode needs --r")
@@ -407,11 +407,9 @@ def cmd_decompose(p, argv):
         else:
             header = ["k", "l", "m", "cells", "measure"]
             vol = f.grid.cell_volume
-            rows = []
             # the pieces depend on r only; q is not read
-            for pc in combined_decompose(f, None, args.r):
-                n = int(pc.mask.sum())
-                rows.append((pc.k, pc.l, pc.m, n, n * vol))
+            rows = [(pc.k, pc.l, pc.m, pc.cells, pc.cells * vol)
+                    for pc in combined_decompose(f, None, args.r)]
         print(f"pieces={len(rows)}")
     if args.out:
         if args.mode == "trim":

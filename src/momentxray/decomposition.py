@@ -5,6 +5,11 @@ A nonnegative source function splits into level pieces E_j on which
 size of the inner integral of g^r per slice; combining value pieces with
 slab data gives the (k, l, m) pieces.  Values below 2^{J_FLOOR} are treated
 as zero so the piece count stays bounded on finite grids.
+
+The value and (k, l, m) pieces of one call are views of one shared,
+read-only level-index array: a piece stores its levels and cell count, and
+its ``mask`` is built from the level array on each access and never cached,
+so a decomposition holds one grid-sized array, not one per piece.
 """
 
 from __future__ import annotations
@@ -22,9 +27,16 @@ J_FLOOR = -40
 
 @dataclass(frozen=True)
 class DyadicPiece:
+    """The level set E_j = {levels == j} of its decomposition's level array."""
     j: int
-    mask: np.ndarray = dc_field(repr=False)
-    measure: float = 0.0
+    cells: int
+    measure: float
+    levels: np.ndarray = dc_field(repr=False)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """E_j as a fresh boolean array on each access."""
+        return self.levels == self.j
 
 
 @dataclass(frozen=True)
@@ -35,10 +47,19 @@ class SlabPiece:
 
 @dataclass(frozen=True)
 class CombinedPiece:
+    """Value level k on the t-slices that t_sel selects (slab l, class m)."""
     k: int
     l: int
     m: int
-    mask: np.ndarray = dc_field(repr=False)
+    cells: int
+    t_sel: np.ndarray = dc_field(repr=False)
+    levels: np.ndarray = dc_field(repr=False)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The piece's cells as a fresh boolean array on each access."""
+        t_axis = self.t_sel.reshape((-1,) + (1,) * (self.levels.ndim - 1))
+        return (self.levels == self.k) & t_axis
 
 
 def _level_indices(values: np.ndarray, j_min: int) -> np.ndarray:
@@ -51,19 +72,16 @@ def _level_indices(values: np.ndarray, j_min: int) -> np.ndarray:
 
 
 def dyadic_decompose(f: SampledField, j_min: int = J_FLOOR):
-    """Level pieces of f, sorted by j ascending."""
+    """Level pieces of f, sorted by j ascending, sharing one level array."""
     if np.any(f.values < 0):
         raise ValueError("dyadic_decompose requires nonnegative values")
     levels = _level_indices(f.values, j_min)
+    levels.flags.writeable = False
     cellvol = f.grid.cell_volume
-    pieces = []
-    for j in np.unique(levels):
-        if j < j_min:
-            continue
-        mask = levels == j
-        pieces.append(DyadicPiece(j=int(j), mask=mask,
-                                  measure=float(mask.sum()) * cellvol))
-    return pieces
+    return [DyadicPiece(j=int(j), cells=int(n), measure=float(n) * cellvol,
+                        levels=levels)
+            for j, n in zip(*np.unique(levels, return_counts=True))
+            if j >= j_min]
 
 
 def slab_decompose(g: SampledField, r, j_min: int = J_FLOOR):
@@ -99,24 +117,32 @@ def combined_decompose(g: SampledField, q, r, j_min: int = J_FLOOR):
     yaxes = tuple(range(1, g.d))
     out = []
     for piece in value_pieces:
-        sec = piece.mask.sum(axis=yaxes) * dy
-        m_of_t = _level_indices(sec, j_min)
+        per_slice = np.count_nonzero(piece.mask, axis=yaxes)
+        m_of_t = _level_indices(per_slice * dy, j_min)
         keys = np.stack([slab_of_t, m_of_t], axis=1)
         for l, m in np.unique(keys, axis=0):
             if l < j_min or m < j_min:
                 continue
+            # the key comes from a slice, and m >= j_min needs per_slice > 0
+            # on every slice it selects, so no piece is empty
             t_sel = (slab_of_t == l) & (m_of_t == m)
-            mask = piece.mask & t_sel.reshape((-1,) + (1,) * (g.d - 1))
-            if mask.any():
-                out.append(CombinedPiece(k=piece.j, l=int(l), m=int(m), mask=mask))
+            t_sel.flags.writeable = False
+            out.append(CombinedPiece(k=piece.j, l=int(l), m=int(m),
+                                     cells=int(per_slice[t_sel].sum()),
+                                     t_sel=t_sel, levels=piece.levels))
     return out
 
 
 def reconstruct(pieces, f: SampledField) -> SampledField:
-    """The dyadic minorant sum of 2^j over the given pieces, on f's grid."""
+    """The dyadic minorant sum of 2^level chi over the pieces, on f's grid.
+
+    A piece's value level is j for a dyadic piece and k for a combined one.
+    Each mask is built for its term and dropped, so one is held at a time.
+    """
     vals = np.zeros(f.grid.shape)
     for pc in pieces:
-        vals += (2.0 ** pc.j) * pc.mask
+        level = pc.k if isinstance(pc, CombinedPiece) else pc.j
+        vals += (2.0 ** level) * pc.mask
     return f.with_values(vals)
 
 

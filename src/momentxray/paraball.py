@@ -409,13 +409,17 @@ class Cover:
     def contains(self, points, side: str = "primal") -> np.ndarray:
         """Whether each point lies in the union of members (per-side shadow).
 
-        Points run in _blocks: each block is mapped to the unit frame and
-        tested against the member found by the lattice lookup; the points
-        that lookup misses are then tested against every member.
+        Points of shape S + (d,) give an array of shape S; a single point
+        gives an array of shape (1,).  Points run in _blocks: each block is
+        mapped to the unit frame and tested against the member found by the
+        lattice lookup; the points that lookup misses are then tested
+        against every member.
         """
         _check_side(side)
         d = self.base.d
-        z = np.atleast_2d(_pack_points(points, d))
+        z = _pack_points(points, d)
+        shape = z.shape[:-1] if z.ndim > 1 else (1,)
+        z = z.reshape(-1, d)
         fmap = map_source if side == "primal" else map_target
         unit = inverse(to_symmetry(self.base), d)
         a, b = 2.0 * self.eta1, 2.0 * self.eta2
@@ -439,7 +443,7 @@ class Cover:
             terms = _centre_terms(T, d, side)
             ok[~ok] = [_inside(p[0], p[1:], S, T, Y, a, b, side, terms).any()
                        for p in np.concatenate(missed)]
-        return ok
+        return ok.reshape(shape)
 
 
 def _member_centres(s, t, y):

@@ -14,6 +14,7 @@ import pytest
 
 from momentxray import cli
 from momentxray.cli import main
+from momentxray.decomposition import combined_decompose, dyadic_decompose
 from momentxray.field import SampledField, grid_from_box, read_field, write_field
 from momentxray.paraball import partition
 
@@ -363,6 +364,29 @@ class TestDecompose:
         assert line_value(out, "pieces") == "1"
         header = (tmp_path / "co.csv").read_text().splitlines()[0]
         assert header == "k,l,m,cells,measure"
+
+    @pytest.mark.parametrize("mode", ["dyadic", "combined"])
+    def test_cell_counts_are_mask_sums(self, capsys, tmp_path, mode):
+        # the tables read the pieces' cell counts; they match the masks
+        field = write_bump(tmp_path / "b.field", side="target")
+        code, _, _ = run(capsys, ["decompose", "--field", "b.field",
+                                  "--mode", mode, "--r", "2",
+                                  "--out", "t.csv"])
+        assert code == 0
+        vol = field.grid.cell_volume
+        if mode == "dyadic":
+            pieces = dyadic_decompose(field)
+            rows = [(pc.j, int(pc.mask.sum()), pc.measure) for pc in pieces]
+            header = ["j", "cells", "measure"]
+        else:
+            pieces = combined_decompose(field, None, 2)
+            rows = [(pc.k, pc.l, pc.m, int(pc.mask.sum()),
+                     int(pc.mask.sum()) * vol) for pc in pieces]
+            header = ["k", "l", "m", "cells", "measure"]
+        assert len(pieces) > 2
+        cli._write_csv(str(tmp_path / "want.csv"), header, rows)
+        assert ((tmp_path / "t.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
 
     def test_trim_writes_minorant(self, capsys, tmp_path):
         write_cube(tmp_path / "cube.field")

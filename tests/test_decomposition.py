@@ -1,20 +1,25 @@
 """Dyadic level sets, t-slab classification, and frequency trimming."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from momentxray.decomposition import (
+    J_FLOOR,
+    _level_indices,
     combined_decompose,
     dyadic_decompose,
     reconstruct,
     slab_decompose,
     trim_frequency,
 )
-from momentxray.exponents import INF
+from momentxray.exponents import INF, triple_for_theta
 from momentxray.field import (SampledField, lorentz_mixed_norm, lp_norm,
                               mixed_norm)
+from momentxray.xray import TransformPlan, apply_X
 
-from conftest import box_grid
+from conftest import THETA_MAIN, box_grid, smooth_source
 
 
 def positive_field(side, n, seed, lo=0.05, hi=4.0):
@@ -137,13 +142,164 @@ class TestCombined:
 
     def test_mixed_norm_bracketing(self):
         g = positive_field("target", 8, 71)
-        pieces = combined_decompose(g, 2, 2)
-        vals = np.zeros(g.values.shape)
-        for p in pieces:
-            vals += (2.0 ** p.k) * p.mask
-        minor = g.with_values(vals)
+        minor = reconstruct(combined_decompose(g, 2, 2), g)
         m = mixed_norm(g, 2, 2)
         assert m / 4.0 <= mixed_norm(minor, 2, 2) <= m
+
+    def test_reconstruct_matches_dyadic_minorant(self):
+        # the combined pieces split the value pieces, so their minorant sums
+        # agree to the bit
+        g = positive_field("target", 8, 73)
+        combined = reconstruct(combined_decompose(g, 2, 2), g)
+        dyadic = reconstruct(dyadic_decompose(g), g)
+        assert combined.values.tobytes() == dyadic.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# pieces as views of one level array, against the full-mask decompositions
+
+
+def _full_mask_dyadic(f, j_min=J_FLOOR):
+    """Reference: every level piece stores its own full-grid mask."""
+    levels = _level_indices(f.values, j_min)
+    cellvol = f.grid.cell_volume
+    pieces = []
+    for j in np.unique(levels):
+        if j < j_min:
+            continue
+        mask = levels == j
+        pieces.append((int(j), mask, float(mask.sum()) * cellvol))
+    return pieces
+
+
+def _full_mask_combined(g, r, j_min=J_FLOOR):
+    """Reference: the full-mask (k, l, m) pieces, before the filter that
+    dropped pieces whose mask is empty (the caller checks that it drops
+    none)."""
+    slab_of_t = np.full(g.grid.counts[0], j_min - 1, dtype=np.int64)
+    for slab in slab_decompose(g, r, j_min=j_min):
+        slab_of_t[slab.t_mask] = slab.l
+    dy = float(np.prod(g.grid.spacing[1:]))
+    yaxes = tuple(range(1, g.d))
+    out = []
+    for k, kmask, _ in _full_mask_dyadic(g, j_min):
+        m_of_t = _level_indices(kmask.sum(axis=yaxes) * dy, j_min)
+        keys = np.stack([slab_of_t, m_of_t], axis=1)
+        for l, m in np.unique(keys, axis=0):
+            if l < j_min or m < j_min:
+                continue
+            t_sel = (slab_of_t == l) & (m_of_t == m)
+            mask = kmask & t_sel.reshape((-1,) + (1,) * (g.d - 1))
+            out.append((k, int(l), int(m), mask))
+    return out
+
+
+def _assert_same_dyadic(f, j_min):
+    pieces = dyadic_decompose(f, j_min)
+    ref = _full_mask_dyadic(f, j_min)
+    assert [pc.j for pc in pieces] == [j for j, _, _ in ref]
+    for pc, (_, mask, measure) in zip(pieces, ref):
+        assert pc.measure.hex() == measure.hex()
+        assert pc.cells == int(mask.sum())
+        got = pc.mask
+        assert got.dtype == mask.dtype and got.shape == mask.shape
+        assert got.tobytes() == mask.tobytes()
+    return pieces
+
+
+def _assert_same_combined(g, r, j_min):
+    pieces = combined_decompose(g, 2, r, j_min)
+    ref = _full_mask_combined(g, r, j_min)
+    # the full-mask filter `mask.any()` would have dropped nothing
+    assert all(mask.any() for *_, mask in ref)
+    assert [(pc.k, pc.l, pc.m) for pc in pieces] == [(k, l, m)
+                                                      for k, l, m, _ in ref]
+    for pc, (*_, mask) in zip(pieces, ref):
+        assert pc.cells == int(mask.sum()) > 0
+        got = pc.mask
+        assert got.dtype == mask.dtype and got.shape == mask.shape
+        assert got.tobytes() == mask.tobytes()
+    return pieces
+
+
+def _seeded_fields(side, d, seed):
+    """Fields with zeros, values under 2^j_min for j_min = -2, one level."""
+    rng = np.random.default_rng(seed)
+    n = 9 if d == 3 else 6
+    g = box_grid(side, -1.0, 1.0, n, d)
+    spread = np.exp2(rng.uniform(-6.0, 5.0, size=(n,) * d))
+    with_zeros = spread * (rng.random((n,) * d) < 0.7)
+    with_zeros[n // 2] = 0.0  # a whole t-slice of zeros
+    tiny = np.where(rng.random((n,) * d) < 0.5, 1e-3, spread)
+    return [SampledField(g, v) for v in (
+        spread, with_zeros, tiny, np.full((n,) * d, 1.5),
+        np.zeros((n,) * d))]
+
+
+@pytest.fixture(scope="module")
+def xf64():
+    """A 64^3 Xf as the pairing benchmark builds it: X of a smooth bump."""
+    rng = np.random.default_rng(2024)
+    sg = box_grid("source", -3.0, 3.0, 64)
+    tg = box_grid("target", -3.0, 3.0, 64)
+    return apply_X(smooth_source(sg, rng, 0.5), TransformPlan(sg, tg))
+
+
+class TestLevelArrayViews:
+    @pytest.mark.parametrize("j_min", [J_FLOOR, -2])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_dyadic_matches_full_masks(self, d, j_min):
+        for f in _seeded_fields("source", d, 300 + d):
+            _assert_same_dyadic(f, j_min)
+
+    @pytest.mark.parametrize("r", [2, 3.5])
+    @pytest.mark.parametrize("j_min", [J_FLOOR, -2])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_combined_matches_full_masks(self, d, j_min, r):
+        for g in _seeded_fields("target", d, 400 + d):
+            _assert_same_combined(g, r, j_min)
+
+    def test_pairing_shaped_xf_matches_full_masks(self, xf64):
+        trip = triple_for_theta(3, THETA_MAIN)
+        _assert_same_dyadic(xf64, J_FLOOR)
+        pieces = _assert_same_combined(xf64, trip.r, J_FLOOR)
+        assert len(pieces) > 50
+
+    def test_mask_is_fresh_on_each_access(self):
+        g = _seeded_fields("target", 3, 500)[1]
+        for pc in dyadic_decompose(g) + combined_decompose(g, 2, 2):
+            a, b = pc.mask, pc.mask
+            assert a is not b and not np.shares_memory(a, b)
+            want = a.tobytes()
+            a[...] = ~a  # a caller's copy; the piece is unchanged
+            assert pc.mask.tobytes() == want
+            with pytest.raises(ValueError):
+                pc.levels[(0,) * g.d] = 0
+
+    def test_pieces_share_one_level_array(self):
+        g = _seeded_fields("target", 3, 501)[0]
+        pieces = dyadic_decompose(g) + combined_decompose(g, 2, 2)
+        assert len({id(pc.levels) for pc in pieces}) == 2  # one per call
+
+    def test_pieces_hold_one_level_array_of_memory(self, xf64):
+        # measured on 64^3 Xfs of three seeds: the pieces held 1.03x
+        # values.nbytes (the int64 level array and the t-selectors), the
+        # full-mask pieces 18-23x; reading every mask must not grow that
+        trip = triple_for_theta(3, THETA_MAIN)
+        combined_decompose(xf64, trip.q, trip.r)  # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pieces = combined_decompose(xf64, trip.q, trip.r)
+            held = tracemalloc.get_traced_memory()[0] - base
+            for pc in pieces:
+                pc.mask
+            after_masks = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(pieces) > 50
+        assert held <= 1.25 * xf64.values.nbytes
+        assert after_masks <= 1.25 * xf64.values.nbytes
 
 
 class TestTrim:

@@ -751,6 +751,40 @@ class TestBlocks:
         assert cover.contains(pts, side).tobytes() == want.tobytes()
         assert want.any() and not want.all()
 
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("d,delta", [(3, 0.25), (4, 0.5)])
+    def test_contains_shaped_points(self, d, delta, side):
+        # S + (d,) points are answered point by point with shape S, as
+        # membership answers them
+        B = _ball(np.random.default_rng(90 + d), d)
+        cover = partition(B, delta, THETA)
+        fmap = map_source if side == "primal" else map_target
+        pts = fmap(to_symmetry(B), np.random.default_rng(91 + d).uniform(
+            -SPREAD[side], SPREAD[side], (60, d)))
+        flat = cover.contains(pts, side)
+        assert flat.any() and not flat.all()
+        for shape in ((6, 10), (2, 3, 10), (60, 1)):
+            got = cover.contains(pts.reshape(shape + (d,)), side)
+            assert got.shape == shape
+            assert got.tobytes() == flat.tobytes()
+        # a view with strides that no reshape of the (n, d) array has
+        grid = pts.reshape(6, 10, d)[::2, ::3]
+        want = cover.contains(grid.reshape(-1, d).copy(), side)
+        assert cover.contains(grid, side).tobytes() == want.tobytes()
+        for shape in ((0, d), (0, 2, d), (2, 0, d)):
+            got = cover.contains(np.zeros(shape), side)
+            assert got.shape == shape[:-1] and got.dtype == bool
+        # a single point still gives an array of shape (1,)
+        got = cover.contains(pts[7], side)
+        assert got.shape == (1,) and got[0] == flat[7]
+        assert cover.contains(list(pts[7]), side).tobytes() == got.tobytes()
+
+    def test_contains_zero_grid_of_points(self):
+        cover = partition(unit_paraball(3), 0.5, Fraction(5, 6))
+        for side in ("primal", "dual"):
+            got = cover.contains(np.zeros((2, 2, 3)), side)
+            assert got.shape == (2, 2) and got.all()
+
     @pytest.mark.parametrize("d", [3, 4])
     def test_intersection_volume(self, d):
         rng = np.random.default_rng(80 + d)
