@@ -9,10 +9,9 @@ comfortably beats the paraball indicator pair, which is the natural
 hand-built competitor.
 """
 
-import tempfile
 from fractions import Fraction
 
-from momentxray.field import grid_from_box, read_field
+from momentxray.field import grid_from_box
 from momentxray.paraball import (dual_bbox, primal_bbox, quasi_ratio,
                                  raster_dual, raster_primal, unit_paraball)
 from momentxray.search import SearchConfig, localization_report, run_search
@@ -35,20 +34,18 @@ def main():
     baseline = paraball_baseline()
     print(f"unit paraball pair ratio (the shape to beat): {baseline:.6f}")
 
-    with tempfile.TemporaryDirectory() as out:
-        cfg = SearchConfig(seed=1, out_dir=out)
-        report = run_search(cfg)
-        print(f"search at {cfg.counts}^3, seed {cfg.seed}:")
-        for step in report.history:
-            tag = " renorm" if step["renorm_applied"] else ""
-            print(f"  iter {step['iter']:2d}  phi={step['phi']:.8f}{tag}")
-        print(f"converged={report.converged} after {report.iters} iters")
-        print(f"best phi {report.best_phi:.8f} "
-              f"(beats paraball by {report.best_phi / baseline - 1:.1%})")
-        best = read_field(report.field_path)
-        frac = localization_report(best, P, report.r95)
-        print(f"localization: r95={report.r95:.4f}, mass fraction beyond it "
-              f"{frac:.4f}")
+    cfg = SearchConfig(seed=1)
+    report = run_search(cfg)
+    print(f"search at {cfg.counts}^3, seed {cfg.seed}:")
+    for step in report.history:
+        tag = " renorm" if step["renorm_applied"] else ""
+        print(f"  iter {step['iter']:2d}  phi={step['phi']:.8f}{tag}")
+    print(f"converged={report.converged} after {report.iters} iters")
+    print(f"best phi {report.best_phi:.8f} "
+          f"(beats paraball by {report.best_phi / baseline - 1:.1%})")
+    frac = localization_report(report.state.f, P, report.r95)
+    print(f"localization: r95={report.r95:.4f}, mass fraction beyond it "
+          f"{frac:.4f}")
 
 
 if __name__ == "__main__":

@@ -442,22 +442,14 @@ def cmd_search(p, argv):
                        seed=args.seed, jitter=float(args.jitter),
                        out_dir=args.out)
     report = run_search(cfg)
-    report_path = os.path.join(args.out, "report.json")
-    doc = report.as_dict()
-    doc["stopReason"] = report.stop_reason
-    for key in ("fieldPath", "logPath"):  # keep report relocatable
-        if doc[key]:
-            doc[key] = os.path.basename(doc[key])
-    with open(report_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(f"bestPhi={_fmt(report.best_phi)}")
     print(f"iters={report.iters}")
     print(f"converged={'true' if report.converged else 'false'}")
     print(f"stop_reason={report.stop_reason}")
     print(f"r95={_fmt(report.r95)}")
-    outputs = [report_path, report.field_path, report.log_path]
-    return args, [o for o in outputs if o], SEARCH_EXIT[report.stop_reason]
+    outputs = [os.path.join(args.out, "report.json"), report.field_path,
+               report.log_path]
+    return args, outputs, SEARCH_EXIT[report.stop_reason]
 
 
 def cmd_diagnose(p, argv):

@@ -9,7 +9,8 @@ as zero so the piece count stays bounded on finite grids.
 The value and (k, l, m) pieces of one call are views of one shared,
 read-only level-index array: a piece stores its levels and cell count, and
 its ``mask`` is built from the level array on each access and never cached,
-so a decomposition holds one grid-sized array, not one per piece.
+so a decomposition holds one grid-sized array, not one per piece.  Pieces
+compare by identity (``eq=False``): a piece equals only itself.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .field import SampledField, _slice_integrals
 J_FLOOR = -40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadicPiece:
     """The level set E_j = {levels == j} of its decomposition's level array."""
     j: int
@@ -39,13 +40,13 @@ class DyadicPiece:
         return self.levels == self.j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlabPiece:
     l: int
     t_mask: np.ndarray = dc_field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CombinedPiece:
     """Value level k on the t-slices that t_sel selects (slab l, class m)."""
     k: int

@@ -4,7 +4,9 @@ Alternates the exact dual multiplier of the current output with a power
 ascent on the pulled-back density, re-centering the iterate with the
 symmetry group every few steps so mass cannot drift off the grid.  The
 functional Phi(f) = |Xf|_{q,r} / |f|_p is tracked per iteration and is
-nondecreasing up to the damping tolerance.
+nondecreasing up to the damping tolerance.  ``run_search`` returns the final
+iterate as its report's ``state``; given ``out_dir`` it writes there
+``extremizer.field`` (that f), ``search_log.jsonl`` and ``report.json``.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class SearchState:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of ``run_search``.
+    """Outcome of ``run_search``; ``state`` is its final iterate.
 
     ``stop_reason`` says why the iteration ended: ``converged`` (Phi moved
     by at most tol_phi relative), ``stalled`` (an ascent step kept the old
@@ -87,23 +89,33 @@ class SearchReport:
     """
 
     best_phi: float
-    final_phi: float
-    iters: int
     stop_reason: str
     r95: float
+    state: SearchState = dc_field(repr=False)
     field_path: str | None
     log_path: str | None
     history: tuple = dc_field(repr=False, default=())
+
+    @property
+    def final_phi(self) -> float:
+        return self.state.phi
+
+    @property
+    def iters(self) -> int:
+        return self.state.it
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
 
     def as_dict(self):
+        """The ``report.json`` document; its paths are relative to out_dir."""
+        field_name, log_name = (p and os.path.basename(p)
+                                for p in (self.field_path, self.log_path))
         return {"bestPhi": self.best_phi, "finalPhi": self.final_phi,
                 "iters": self.iters, "converged": self.converged,
-                "r95": self.r95, "fieldPath": self.field_path,
-                "logPath": self.log_path}
+                "stopReason": self.stop_reason, "r95": self.r95,
+                "fieldPath": field_name, "logPath": log_name}
 
 
 def dual_map(h: SampledField, q, r) -> SampledField:
@@ -235,42 +247,42 @@ def localization_report(f: SampledField, p, R: float) -> float:
 
 def run_search(cfg: SearchConfig) -> SearchReport:
     trip = cfg.exponents()
-    state = init_state(cfg)
     qc, rc = conj_exponent(trip.q), conj_exponent(trip.r)
-    history = [{"iter": 0, "phi": state.phi,
-                "f_norm": lp_norm(state.f, trip.p),
-                "g_norm": mixed_norm(state.g, qc, rc),
-                "renorm_applied": False, "damping_tries": 0}]
-    best = state.phi
+
+    def log_entry(st: SearchState, renorm: bool) -> dict:
+        return {"iter": st.it, "phi": st.phi, "f_norm": lp_norm(st.f, trip.p),
+                "g_norm": mixed_norm(st.g, qc, rc),
+                "renorm_applied": renorm, "damping_tries": st.damping_tries}
+
+    state = init_state(cfg)
+    history = [log_entry(state, False)]
     stop_reason = "max_iters"
     for it in range(1, cfg.max_iters + 1):
         prev = start = state
         if cfg.renorm_every > 0 and it % cfg.renorm_every == 0:
             start = renormalize_state(state, cfg)
         state = ascent_step(start, cfg)
-        best = max(best, state.phi)
-        history.append({"iter": it, "phi": state.phi,
-                        "f_norm": lp_norm(state.f, trip.p),
-                        "g_norm": mixed_norm(state.g, qc, rc),
-                        "renorm_applied": start is not prev,
-                        "damping_tries": state.damping_tries})
+        history.append(log_entry(state, start is not prev))
         if state.f is start.f:
             stop_reason = "stalled"  # the step kept the old iterate
             break
         if abs(state.phi - prev.phi) <= cfg.tol_phi * max(prev.phi, 1e-300):
             stop_reason = "converged"
             break
-    r95 = r95_radius(state.f, trip.p)
-    field_path = log_path = None
-    if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        field_path = os.path.join(cfg.out_dir, "extremizer.field")
-        write_field(state.f, field_path)
-        log_path = os.path.join(cfg.out_dir, "search_log.jsonl")
-        with open(log_path, "w") as fh:
+    out = cfg.out_dir
+    report = SearchReport(
+        best_phi=max(e["phi"] for e in history), stop_reason=stop_reason,
+        r95=r95_radius(state.f, trip.p), state=state,
+        field_path=out and os.path.join(out, "extremizer.field"),
+        log_path=out and os.path.join(out, "search_log.jsonl"),
+        history=tuple(history))
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+        write_field(state.f, report.field_path)
+        with open(report.log_path, "w") as fh:
             for entry in history:
                 fh.write(json.dumps(entry) + "\n")
-    return SearchReport(best_phi=best, final_phi=state.phi, iters=state.it,
-                        stop_reason=stop_reason, r95=r95,
-                        field_path=field_path, log_path=log_path,
-                        history=tuple(history))
+        with open(os.path.join(out, "report.json"), "w") as fh:
+            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return report

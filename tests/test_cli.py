@@ -17,6 +17,7 @@ from momentxray.cli import main
 from momentxray.decomposition import combined_decompose, dyadic_decompose
 from momentxray.field import SampledField, grid_from_box, read_field, write_field
 from momentxray.paraball import partition
+from momentxray.search import SearchConfig, run_search
 
 UNIT_BALL = "0,0,0,0,1,1"
 
@@ -425,6 +426,17 @@ class TestSearch:
         assert (out_dir / "search_log.jsonl").exists()
         manifest = json.loads((tmp_path / "momentxray_run.json").read_text())
         assert manifest["seed"] == 3
+
+    def test_library_run_writes_the_cli_directory(self, capsys, tmp_path):
+        # run_search is the one writer of the search directory
+        code, _, _ = run(capsys, ["search", "--counts", "8", "--seed", "4",
+                                  "--max-iters", "3", "--out", "cli"])
+        assert code == 2
+        run_search(SearchConfig(counts=8, seed=4, max_iters=3,
+                                out_dir=str(tmp_path / "lib")))
+        for name in ("report.json", "extremizer.field", "search_log.jsonl"):
+            assert ((tmp_path / "lib" / name).read_bytes()
+                    == (tmp_path / "cli" / name).read_bytes())
 
     def test_unconverged_run_exits_two(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["search", "--counts", "8", "--seed", "1",

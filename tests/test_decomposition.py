@@ -281,6 +281,20 @@ class TestLevelArrayViews:
         pieces = dyadic_decompose(g) + combined_decompose(g, 2, 2)
         assert len({id(pc.levels) for pc in pieces}) == 2  # one per call
 
+    @pytest.mark.parametrize("decompose", [
+        dyadic_decompose, lambda f: slab_decompose(f, 2),
+        lambda f: combined_decompose(f, 2, 2),
+    ], ids=["dyadic", "slab", "combined"])
+    def test_pieces_compare_by_identity(self, decompose):
+        # a piece is a view of its own call's level array, so it equals only
+        # itself; the dataclass __eq__ raised numpy's ambiguous-truth error
+        f = SampledField(box_grid("target", 0, 1, 4), np.full((4,) * 3, 1.5))
+        first = decompose(f)
+        assert first
+        assert (first == decompose(f)) is False
+        assert (first == first) is True
+        assert first[0] != decompose(f)[0]
+
     def test_pieces_hold_one_level_array_of_memory(self, xf64):
         # measured on 64^3 Xfs of three seeds: the pieces held 1.03x
         # values.nbytes (the int64 level array and the t-selectors), the

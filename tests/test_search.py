@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from momentxray.exponents import INF
-from momentxray.field import SampledField, lp_norm, mixed_norm
+from momentxray.field import SampledField, lp_norm, mixed_norm, read_field
 from momentxray.search import (
     PHI_SLACK,
     SearchConfig,
@@ -220,7 +220,63 @@ class TestRunSearch:
         rep = run_search(cfg)
         keys = set(rep.as_dict())
         assert keys == {"bestPhi", "finalPhi", "iters", "converged", "r95",
-                        "fieldPath", "logPath"}
+                        "fieldPath", "logPath", "stopReason"}
+
+    def test_stall_after_accepted_renorm(self, monkeypatch):
+        # the renormalisation is accepted, then the ascent keeps its iterate
+        renormed = []
+
+        def moved(state, cfg):
+            renormed.append(state.f.with_values(state.f.values.copy()))
+            return replace(state, f=renormed[-1])
+
+        monkeypatch.setattr("momentxray.search.renormalize_state", moved)
+        monkeypatch.setattr("momentxray.search.apply_X_star", _no_positive_part)
+        rep = run_search(SearchConfig(counts=8, seed=1, renorm_every=1))
+        assert rep.stop_reason == "stalled"
+        assert rep.iters == 1
+        assert rep.history[1]["renorm_applied"] is True
+        assert len(renormed) == 1 and rep.state.f is renormed[0]
+
+
+class TestReportState:
+    """The report carries the final iterate; the files agree with it."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("search")
+        cfg = SearchConfig(counts=12, seed=3, max_iters=4, out_dir=str(out))
+        return run_search(cfg), out
+
+    def test_state_f_is_the_written_field(self, written):
+        rep, out = written
+        assert rep.field_path == str(out / "extremizer.field")
+        raw = read_field(rep.field_path).values.tobytes()
+        assert rep.state.f.values.tobytes() == raw
+
+    def test_final_phi_and_iters_come_from_state(self, written):
+        rep, _ = written
+        assert rep.final_phi == rep.state.phi == rep.history[-1]["phi"]
+        assert rep.iters == rep.state.it == rep.history[-1]["iter"]
+        assert rep.best_phi == max(h["phi"] for h in rep.history)
+        h = apply_X(rep.state.f, SearchConfig(counts=12).plan())
+        assert rep.state.h.values.tobytes() == h.values.tobytes()
+
+    def test_report_json_is_as_dict(self, written):
+        rep, out = written
+        doc = json.loads((out / "report.json").read_text())
+        assert doc == rep.as_dict()
+        assert doc["fieldPath"] == "extremizer.field"
+        assert doc["logPath"] == "search_log.jsonl"
+        assert doc["stopReason"] == rep.stop_reason
+
+    def test_no_out_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rep = run_search(SearchConfig(counts=8, seed=1, max_iters=1))
+        assert rep.field_path is None and rep.log_path is None
+        assert rep.as_dict()["fieldPath"] is None
+        assert rep.state.f.values.shape == (8,) * D
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigValidation:
