@@ -88,7 +88,7 @@ def number(text: str) -> float:
     """Geometry input: accepts ratios and decimals."""
     try:
         return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad number {text!r}: {exc}")
 
 

@@ -17,7 +17,16 @@ builds each triple once and keeps the last _NET_CACHE_SIZE of them, read-only
 (see _nets).  Band tests take one band column at a time, with the same float
 operations in the same order as the stacked form (see _band_columns).  Point
 queries (membership, Cover.contains, intersection_volume) run in
-field._blocks.
+field._blocks, one coordinate column at a time: the unit-frame maps return
+contiguous coordinates (see symmetry's column rule), and _band_columns'
+v = x - ybar - s gamma(t0), the lattice index of _Net.query and
+intersection_volume's box scaling are built per coordinate.  Each element
+gets the float operations of the per-point form, so the outputs are those
+of the row layout to the byte.  gamma's first component is t itself, which
+is exact because numpy's array power is exact at exponent 1; its higher
+components keep numpy's array power through an exponent array, because
+with a scalar exponent numpy squares for m = 2 and differs in the last bit
+(see field.gamma_eval).
 """
 
 from __future__ import annotations
@@ -107,22 +116,22 @@ def _band_columns(lead, rest, s0, t0, ybar, side: str, terms=None):
     -t0 is taken once, and each sum starts at its first term and adds the
     others in order, so the float operations are those of the plain sum
     (only the sign of an exact zero can differ from a sum started at 0).
+    v = x - ybar (- s gamma(t0)) is built one coordinate column at a time,
+    each element with the operations of the stacked form.
     ``terms`` is _centre_terms(t0, d, side), when the caller has it.
     """
     _check_side(side)
     d = np.shape(rest)[-1] + 1
     g, powers = _centre_terms(t0, d, side) if terms is None else terms
+    slab = lead - (s0 if side == "primal" else t0)
+    v = [rest[..., m] - ybar[..., m] for m in range(d - 1)]
     if side == "primal":
-        slab = lead - s0
-        v = rest - ybar - np.asarray(lead)[..., None] * g
-    else:
-        slab = lead - t0
-        v = rest - ybar
+        v = [vm - lead * g[..., m] for m, vm in enumerate(v)]
     cols = []
     for m in range(1, d):
-        acc = math.comb(m, 1) * powers[m - 1] * v[..., 0]
+        acc = math.comb(m, 1) * powers[m - 1] * v[0]
         for i in range(2, m + 1):
-            acc += math.comb(m, i) * powers[m - i] * v[..., i - 1]
+            acc += math.comb(m, i) * powers[m - i] * v[i - 1]
         if side == "dual":
             acc += s0 * slab ** m
         cols.append(acc)
@@ -241,12 +250,23 @@ def dual_bbox(B: Paraball):
     return lo, hi
 
 
+def _sample_count(n, least: int) -> int:
+    """n as an int >= least: an integer or numpy integer, not a bool."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or isinstance(n, (bool, np.bool_)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if count < least:
+        raise ValueError(f"n must be >= {least}, got {n!r}")
+    return count
+
+
 def sample_points(B: Paraball, n: int, rng, side: str = "primal") -> np.ndarray:
     """n points uniform on the primal or dual shadow (unit-box push-forward)."""
     _check_side(side)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
-    u = rng.uniform(-1.0, 1.0, size=(int(n), B.d))
+    u = rng.uniform(-1.0, 1.0, size=(_sample_count(n, 0), B.d))
     sig = to_symmetry(B)
     return map_source(sig, u) if side == "primal" else map_target(sig, u)
 
@@ -320,15 +340,18 @@ class _Net:
         self._nearest.flags.writeable = False
 
     def query(self, pts: np.ndarray) -> np.ndarray:
-        """Index of a net point within ~1.2 separations of each query point."""
-        q = np.clip(np.asarray(pts, float), -1.0, 1.0)
+        """Index of a net point within ~1.2 separations of each query point.
+
+        The lattice index is built one coordinate column at a time.
+        """
+        q = np.asarray(pts, float)
         if self.k == 1 and q.ndim == 1:
             q = q[:, None]
-        idx = np.rint((q + 1.0) * self.M).astype(np.int64)
-        idx = np.clip(idx, 0, 2 * self.M)
         flat = np.zeros(q.shape[0], dtype=np.int64)
         for a in range(self.k):
-            flat = flat * (2 * self.M + 1) + idx[:, a]
+            col = np.rint((np.clip(q[:, a], -1.0, 1.0) + 1.0) * self.M)
+            idx = np.clip(col.astype(np.int64), 0, 2 * self.M)
+            flat = flat * (2 * self.M + 1) + idx
         return self._nearest[flat]
 
 
@@ -413,7 +436,7 @@ class Cover:
         gives an array of shape (1,).  Points run in _blocks: each block is
         mapped to the unit frame and tested against the member found by the
         lattice lookup; the points that lookup misses are then tested
-        against every member.
+        against every member.  A point that is not finite raises ValueError.
         """
         _check_side(side)
         d = self.base.d
@@ -427,6 +450,8 @@ class Cover:
         missed = []
         for blk in _blocks(len(z)):
             u = fmap(unit, z[blk])
+            if not np.isfinite(u).all():
+                raise ValueError("points must be finite")
             lead, rest = u[:, 0], u[:, 1:]
             i = self._y_index.query(rest)
             j = self._s_index.query(lead) if side == "primal" else 0
@@ -485,8 +510,9 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     # (s_j, y_i + s_j gamma(t_k)) and (t_k, y_i); its image under B's
     # symmetry reads off the member's normal form as in from_symmetry
     sigma = to_symmetry(B)
+    g = gamma_eval(d, T)
     src = map_source(sigma, np.column_stack(
-        [S, Y + S[:, None] * gamma_eval(d, T)]))
+        [S] + [Y[:, m] + S * g[:, m] for m in range(d - 1)]))
     tgt = map_target(sigma, np.column_stack([T, Y]))
     members = _Members(src[:, 0], tgt[:, 0], tgt[:, 1:],
                        2 * eta1 * B.alpha, 2 * eta2 * B.beta)
@@ -512,11 +538,10 @@ def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
     total += abs(Ba.s0 - Bb.s0) * (1.0 / Ba.alpha + 1.0 / Bb.alpha)
     total += abs(Ba.t0 - Bb.t0) * (1.0 / Ba.beta + 1.0 / Bb.beta)
 
-    def primal_offset(A, Bo):
+    def primal_offset(A, Bo, gA, gBo):
         # grouped as differences so coincident paraballs give exactly zero
         G = shear_matrix(d, -A.t0).entries
-        v = (np.asarray(Bo.ybar) - np.asarray(A.ybar)
-             + Bo.s0 * (gamma_eval(d, Bo.t0) - gamma_eval(d, A.t0)))
+        v = np.asarray(Bo.ybar) - np.asarray(A.ybar) + Bo.s0 * (gBo - gA)
         return float(np.sum(np.abs(G @ v)
                             / _scale_diagonal(A.alpha, A.beta, d)))
 
@@ -529,7 +554,8 @@ def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
 
     # mirrored offsets are paired before accumulating so the sum is exactly
     # symmetric under swapping the arguments
-    total += primal_offset(Ba, Bb) + primal_offset(Bb, Ba)
+    ga, gb = gamma_eval(d, Ba.t0), gamma_eval(d, Bb.t0)
+    total += primal_offset(Ba, Bb, ga, gb) + primal_offset(Bb, Ba, gb, ga)
     total += dual_offset(Ba, Bb) + dual_offset(Bb, Ba)
     return float(total)
 
@@ -541,20 +567,23 @@ def intersection_volume(Ba: Paraball, Bb: Paraball, n: int = 100_000,
     Samples the bounding box of the smaller paraball; resolution is limited
     by n, so disjoint-looking pairs can return exactly 0.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _sample_count(n, 1)
     small, large = (Ba, Bb) if volume(Ba) <= volume(Bb) else (Bb, Ba)
     lo, hi = primal_bbox(small)
+    width = hi - lo
     rng = np.random.default_rng(seed)
     hits = 0
     # drawn in _blocks from one generator, so the sample stream is that of
-    # one full draw; membership is pointwise, so the larger ball sees only
-    # the hits
-    for blk in _blocks(int(n)):
-        pts = rng.uniform(size=(blk.stop - blk.start, Ba.d)) * (hi - lo) + lo
-        pts = pts[membership(small, pts, "primal")]
+    # one full draw, and scaled onto the box one coordinate column at a
+    # time; membership is pointwise, so the larger ball sees only the hits
+    for blk in _blocks(n):
+        u = rng.uniform(size=(blk.stop - blk.start, Ba.d))
+        cols = np.empty((Ba.d, len(u)))
+        for k, col in enumerate(cols):
+            np.add(u[:, k] * width[k], lo[k], out=col)
+        pts = cols.T[membership(small, cols.T, "primal")]
         hits += np.count_nonzero(membership(large, pts, "primal"))
-    box_vol = float(np.prod(hi - lo))
+    box_vol = float(np.prod(width))
     return box_vol * float(hits) / float(n)
 
 

@@ -43,6 +43,9 @@ class SearchConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.box_half) and self.box_half > 0):
+            raise ValueError(
+                f"box_half must be finite and > 0, got {self.box_half!r}")
         for name in ("tol_phi", "jitter"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

@@ -13,6 +13,13 @@ with G_{t0} the unit lower-triangular binomial matrix satisfying
 gamma(t + t0) = G_{t0} gamma(t) + gamma(t0).  All three preserve the
 incidence relation x = y + s gamma(t).  Points are passed as arrays whose
 last axis is (s, x_1, ..., x_{d-1}) resp. (t, y_1, ..., y_{d-1}).
+Column rule: the maps copy the points into one contiguous row per
+coordinate and run each step over whole coordinates (Shear keeps its one
+``@ G.T`` product, on the stacked x or y rows), never over the d - 1
+entries of one point at a time.  Each element gets the IEEE operations of
+the per-point form, so the bytes do not depend on the layout.  A map's
+result, shape S + (d,), is a view of those rows: each coordinate [..., k]
+is contiguous, which the point queries downstream read column by column.
 Scale's powers and Jacobians are computed only by ``_scale_diagonal`` and
 ``_scale_jacobians``, for the maps, pullbacks and paraball geometry alike.
 """
@@ -24,8 +31,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (Grid, SampledField, _lattice, gamma_eval, grid_from_box,
-                    interpolate)
+from .field import (Grid, SampledField, _lattice, _moments, gamma_eval,
+                    grid_from_box, interpolate)
 from .exponents import as_float
 
 
@@ -126,40 +133,56 @@ def _pack(point) -> np.ndarray:
     return np.asarray(point, dtype=float)
 
 
+def _coordinate_rows(point):
+    """(leading shape S, a fresh (d, N) array whose row k holds coordinate k
+    of the N points, contiguous)."""
+    z = _pack(point)
+    rows = np.empty((z.shape[-1],) + z.shape[:-1])
+    rows[...] = np.moveaxis(z, -1, 0)
+    return z.shape[:-1], rows.reshape(len(rows), -1)
+
+
+def _as_points(shape, rows) -> np.ndarray:
+    """The points of _coordinate_rows, shape S + (d,), as a view of rows."""
+    return rows.T.reshape(shape + (len(rows),))
+
+
 def map_source(sigma: Symmetry, point) -> np.ndarray:
     """Apply the source-side point map; last axis is (s, x)."""
-    z = _pack(point).copy()
-    d = z.shape[-1]
+    shape, z = _coordinate_rows(point)
+    d = len(z)
     for st in sigma.steps:
         if isinstance(st, Translate):
-            z[..., 1:] = z[..., 1:] + np.asarray(st.v)
+            z[1:] += np.asarray(st.v)[:, None]
         elif isinstance(st, Scale):
-            z[..., 0] = st.alpha * z[..., 0]
-            z[..., 1:] = _scale_diagonal(st.alpha, st.beta, d) * z[..., 1:]
+            z[0] *= st.alpha
+            z[1:] *= _scale_diagonal(st.alpha, st.beta, d)[:, None]
         else:
             G = shear_matrix(d, st.t0).entries
-            s_new = z[..., 0] + st.s0
-            z[..., 1:] = z[..., 1:] @ G.T + s_new[..., None] * gamma_eval(d, st.t0)
-            z[..., 0] = s_new
-    return z
+            z[1:] = (z[1:].T @ G.T).T
+            z[0] += st.s0
+            for m, power in enumerate(gamma_eval(d, st.t0), 1):
+                z[m] += z[0] * power
+    return _as_points(shape, z)
 
 
 def map_target(sigma: Symmetry, point) -> np.ndarray:
     """Apply the target-side point map; last axis is (t, y)."""
-    z = _pack(point).copy()
-    d = z.shape[-1]
+    shape, z = _coordinate_rows(point)
+    d = len(z)
     for st in sigma.steps:
         if isinstance(st, Translate):
-            z[..., 1:] = z[..., 1:] + np.asarray(st.v)
+            z[1:] += np.asarray(st.v)[:, None]
         elif isinstance(st, Scale):
-            z[..., 0] = st.beta * z[..., 0]
-            z[..., 1:] = _scale_diagonal(st.alpha, st.beta, d) * z[..., 1:]
+            z[0] *= st.beta
+            z[1:] *= _scale_diagonal(st.alpha, st.beta, d)[:, None]
         else:
             G = shear_matrix(d, st.t0).entries
-            y_shift = z[..., 1:] - st.s0 * gamma_eval(d, z[..., 0])
-            z[..., 1:] = y_shift @ G.T
-            z[..., 0] = z[..., 0] + st.t0
-    return z
+            for m, power in enumerate(_moments(z[0], d), 1):
+                z[m] -= st.s0 * power
+            z[1:] = (z[1:].T @ G.T).T
+            z[0] += st.t0
+    return _as_points(shape, z)
 
 
 def _is_noop(st) -> bool:

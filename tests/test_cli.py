@@ -7,11 +7,15 @@ stdout, and the run manifest can be inspected without spawning a shell.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import momentxray
 from momentxray import cli
 from momentxray.cli import main
 from momentxray.decomposition import combined_decompose, dyadic_decompose
@@ -437,6 +441,37 @@ class TestSearch:
         for name in ("report.json", "extremizer.field", "search_log.jsonl"):
             assert ((tmp_path / "lib" / name).read_bytes()
                     == (tmp_path / "cli" / name).read_bytes())
+
+    def test_overflowing_box_exits_65_without_a_warning(self, tmp_path):
+        # run as its own process, so that a RuntimeWarning, which this
+        # suite turns into an error, would show on stderr instead
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       momentxray.__file__)))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentxray.cli", "search", "--seed", "1",
+             "--out", "run", "--box-half", "1e308"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        assert proc.returncode == 65
+        assert proc.stderr.splitlines() == [
+            "momentxray search: error: box extent hi - lo must be finite"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("box_half", ["-1", "0"])
+    def test_box_half_not_positive_exits_65(self, capsys, box_half):
+        code, _, err = run(capsys, ["search", "--seed", "1", "--out", "run",
+                                    "--box-half", box_half])
+        assert code == 65
+        assert "box_half must be finite and > 0" in err
+
+    def test_number_too_large_for_a_float_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--seed", "1", "--out", "run",
+                  "--box-half", "1e309"])
+        assert exc.value.code == 2
+        assert "bad number '1e309'" in capsys.readouterr().err
 
     def test_unconverged_run_exits_two(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["search", "--counts", "8", "--seed", "1",

@@ -58,6 +58,45 @@ class TestGamma:
         assert np.array_equal(mc(2.0), gamma_eval(4, 2.0))
 
 
+# extreme arguments for the moment curve: signed zeros, subnormals, huge and
+# tiny magnitudes, and values whose powers overflow to inf
+GAMMA_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                           1e-160, 1.0, -1.0, 3.0, -7.5, 1e154, -1e154,
+                           1e308, -1e308, np.inf, -np.inf])
+
+
+class TestGammaRowLayout:
+    """gamma_eval by component, bit for bit numpy's t[..., None] ** m."""
+
+    @staticmethod
+    def _row(d, t):
+        return np.asarray(t, dtype=float)[..., None] ** np.arange(1, d)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_same_bytes_as_row_power(self, d):
+        rng = np.random.default_rng(200 + d)
+        wide = rng.normal(size=5000) * 10.0 ** rng.uniform(-300, 300, 5000)
+        cases = [GAMMA_SPECIALS, wide, rng.normal(size=(40, 30)),
+                 wide[:1], wide[:0], GAMMA_SPECIALS.reshape(1, -1)]
+        cases += [float(x) for x in GAMMA_SPECIALS]
+        cases += [np.float64(x) for x in rng.uniform(-3.0, 3.0, 500)]
+        with np.errstate(over="ignore"):
+            for t in cases:
+                got, want = gamma_eval(d, t), self._row(d, t)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), t
+
+    def test_first_component_is_t(self):
+        t = GAMMA_SPECIALS
+        with np.errstate(over="ignore"):
+            got = gamma_eval(4, t)[:, 0]
+        assert got.view(np.int64).tobytes() == t.view(np.int64).tobytes()
+
+    def test_components_are_contiguous(self):
+        out = gamma_eval(5, np.zeros((7, 2)))
+        assert all(out[..., k].flags.c_contiguous for k in range(4))
+
+
 class TestGrid:
     def test_box_round_trip(self):
         g = grid_from_box(3, "source", [-1, -2, 0], [1, 2, 3], [10, 20, 30])
@@ -533,6 +572,49 @@ class TestInterpolateBlocks:
             want = _unblocked_interpolate(f, shaped)
             assert got.shape == want.shape == shaped.shape[:-1]
             assert got.tobytes() == want.tobytes()
+
+
+class TestInterpolateColumns:
+    """interpolate on coordinate columns against the row layout."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_same_bytes_as_row_layout(self, d):
+        rng = np.random.default_rng(110 + d)
+        for _ in range(4):
+            f = TestInterpolateBorder._field(rng, d)
+            n = 2 * _BLOCK + 5
+            for lo_hi in (0.0, 1.0, 1e4):  # inside, border cells, outside
+                pts = TestInterpolateBorder._points(rng, f, -lo_hi - 0.5,
+                                                    lo_hi + 0.5, n)
+                got = interpolate(f, pts)
+                assert got.tobytes() == _unblocked_interpolate(f, pts).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_non_finite_points_give_zero_without_a_warning(self, d):
+        # RuntimeWarnings are errors in this suite: NaN and inf must not
+        # reach the int64 cast of a cell index
+        f = TestInterpolateBorder._field(np.random.default_rng(120 + d), d)
+        pts = np.tile(np.array(f.grid.origin), (_BLOCK + 4, 1))
+        pts[3, 0] = np.nan
+        pts[_BLOCK + 1, -1] = np.inf
+        pts[_BLOCK + 2, 1] = -np.inf
+        got = interpolate(f, pts)
+        bad = [3, _BLOCK + 1, _BLOCK + 2]
+        assert np.array_equal(got[bad], np.zeros(3))
+        keep = np.ones(len(pts), dtype=bool)
+        keep[bad] = False
+        assert got[keep].tobytes() == interpolate(f, pts[keep]).tobytes()
+
+
+class TestGridFromBoxBounds:
+    @pytest.mark.parametrize("lo, hi", [
+        (np.nan, 1.0), (-1.0, np.nan), (-np.inf, 1.0), (-1.0, np.inf),
+        (-1e308, 1e308), (-np.inf, np.inf)],
+        ids=["lo-nan", "hi-nan", "lo-inf", "hi-inf", "extent-overflow",
+             "both-inf"])
+    def test_rejected_without_a_warning(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            grid_from_box(3, "source", lo, hi, 8)
 
 
 class TestFieldIO:

@@ -191,6 +191,63 @@ class TestBandColumns:
         assert got_mock == want_mock
 
 
+def _row_band_columns(lead, rest, s0, t0, ybar, side):
+    """_band_columns in row layout: v is one (..., d - 1) array, and the
+    moment curve is numpy's row power t0[..., None] ** m."""
+    d = np.shape(rest)[-1] + 1
+    neg = -t0
+    powers = [neg ** k for k in range(d - 1)]
+    if side == "primal":
+        g = np.asarray(t0, dtype=float)[..., None] ** np.arange(1, d)
+        slab = lead - s0
+        v = rest - ybar - np.asarray(lead)[..., None] * g
+    else:
+        slab = lead - t0
+        v = rest - ybar
+    cols = []
+    for m in range(1, d):
+        acc = math.comb(m, 1) * powers[m - 1] * v[..., 0]
+        for i in range(2, m + 1):
+            acc += math.comb(m, i) * powers[m - i] * v[..., i - 1]
+        if side == "dual":
+            acc += s0 * slab ** m
+        cols.append(acc)
+    return slab, cols
+
+
+class TestBandColumnsRowLayout:
+    """v built per coordinate column gives the row layout's bytes."""
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("per_point", [False, True],
+                             ids=["scalar-centre", "per-point-centre"])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_same_bytes(self, d, per_point, side):
+        rng = np.random.default_rng(500 + 10 * d + 2 * per_point
+                                    + (side == "dual"))
+        for _ in range(10):
+            case = _band_case(rng, d, per_point)
+            slab, cols = _band_columns(*case, side)
+            ref_slab, ref_cols = _row_band_columns(*case, side)
+            assert slab.tobytes() == ref_slab.tobytes()
+            assert len(cols) == len(ref_cols) == d - 1
+            for col, ref in zip(cols, ref_cols):
+                assert col.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_one_point_against_every_member(self, side):
+        # the miss scan's shapes: a single point, per-member centres
+        rng = np.random.default_rng(77)
+        S, T = rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50)
+        Y = rng.uniform(-1, 1, (50, D - 1))
+        for p in rng.uniform(-2, 2, (20, D)):
+            slab, cols = _band_columns(p[0], p[1:], S, T, Y, side)
+            ref_slab, ref_cols = _row_band_columns(p[0], p[1:], S, T, Y, side)
+            assert slab.tobytes() == ref_slab.tobytes()
+            assert all(c.tobytes() == r.tobytes()
+                       for c, r in zip(cols, ref_cols))
+
+
 class TestVolume:
     def test_unit_is_eight(self):
         assert volume(unit_paraball(D)) == pytest.approx(8.0, rel=1e-14)
@@ -639,6 +696,67 @@ class TestIntersectionVolume:
         C = Paraball(0.3, 0.1, (0.2, 0.0), 1.2, 0.8)
         assert intersection_volume(B, C, seed=5) == intersection_volume(
             B, C, seed=5)
+
+
+class TestSampleCounts:
+    """n is an integer count: numpy integers pass, bools and floats do not."""
+
+    @pytest.mark.parametrize("n", [4.9, 4.0, True, False, np.True_, "8",
+                                   None], ids=["float", "integral-float",
+                                               "true", "false", "numpy-bool",
+                                               "str", "none"])
+    def test_non_integer_counts_rejected(self, n):
+        B = unit_paraball(D)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            intersection_volume(B, B, n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_points(B, n, np.random.default_rng(0))
+
+    def test_numpy_integers_accepted(self):
+        B = Paraball(0.1, 0.3, (0.2, -0.4), 1.1, 0.9)
+        C = Paraball(0.3, 0.1, (0.2, 0.0), 1.2, 0.8)
+        want = intersection_volume(B, C, 5000, seed=3)
+        for n in (np.int64(5000), np.int32(5000), np.uint16(5000)):
+            assert intersection_volume(B, C, n, seed=3) == want
+        pts = sample_points(B, np.int64(3), np.random.default_rng(1))
+        assert pts.shape == (3, D)
+        assert np.array_equal(
+            pts, sample_points(B, 3, np.random.default_rng(1)))
+
+    def test_ranges(self):
+        B = unit_paraball(D)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            intersection_volume(B, B, 0)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sample_points(B, -1, np.random.default_rng(0))
+        assert sample_points(B, 0, np.random.default_rng(0)).shape == (0, D)
+
+    def test_unit_ball_self_volume_uses_the_count_drawn(self):
+        # every sample of the unit box hits; the estimate is the box volume
+        B = unit_paraball(D)
+        assert intersection_volume(B, B, 5) == volume(B) == 8.0
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_contains_rejects(self, side, bad):
+        cover = partition(unit_paraball(D), 0.5, THETA)
+        pts = np.zeros((_BLOCK + 3, D))
+        pts[_BLOCK + 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cover.contains(pts, side)
+        with pytest.raises(ValueError, match="finite"):
+            cover.contains(pts[_BLOCK + 1], side)
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_membership_answers_false(self, side):
+        B = unit_paraball(D)
+        pts = np.zeros((6, D))
+        for k in range(D):
+            pts[k, k] = np.nan
+        assert not membership(B, pts[0], side)
+        assert membership(B, pts, side).tolist() == [False] * D + [True] * 3
 
 
 # the point-wise pipelines as one pass over every point, before they ran

@@ -296,6 +296,19 @@ class TestConfigValidation:
         cfg = SearchConfig(max_iters=0, tol_phi=0.0, jitter=0.0)
         assert (cfg.max_iters, cfg.tol_phi, cfg.jitter) == (0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("box_half", [float("nan"), float("inf"),
+                                          -float("inf"), -1.0, 0.0],
+                             ids=["nan", "inf", "minus-inf", "negative",
+                                  "zero"])
+    def test_box_half_rejected_at_construction(self, box_half):
+        with pytest.raises(ValueError, match="box_half"):
+            SearchConfig(box_half=box_half)
+
+    def test_overflowing_box_rejected_by_plan(self):
+        cfg = SearchConfig(box_half=1e308)
+        with pytest.raises(ValueError, match="finite"):
+            cfg.plan()
+
 
 def _no_positive_part(g, plan):
     grid = plan.source_grid

@@ -369,3 +369,78 @@ def _max_param(sig):
         else:
             mx = max(mx, max(abs(v) for v in st.v))
     return mx
+
+
+# the point maps in row layout: every step works on the (..., d) rows and
+# broadcasts a (d - 1,) vector against z[..., 1:].  The column layout must
+# give the same bytes.
+
+
+def _row_gamma(d, t):
+    return np.asarray(t, dtype=float)[..., None] ** np.arange(1, d)
+
+
+def _row_map(sigma, point, target_side):
+    z = np.array(point, dtype=float)
+    d = z.shape[-1]
+    for st in sigma.steps:
+        if isinstance(st, Translate):
+            z[..., 1:] = z[..., 1:] + np.asarray(st.v)
+        elif isinstance(st, Scale):
+            z[..., 0] = (st.beta if target_side else st.alpha) * z[..., 0]
+            z[..., 1:] = st.alpha * st.beta ** np.arange(1, d) * z[..., 1:]
+        elif target_side:
+            G = shear_matrix(d, st.t0).entries
+            y_shift = z[..., 1:] - st.s0 * _row_gamma(d, z[..., 0])
+            z[..., 1:] = y_shift @ G.T
+            z[..., 0] = z[..., 0] + st.t0
+        else:
+            G = shear_matrix(d, st.t0).entries
+            s_new = z[..., 0] + st.s0
+            z[..., 1:] = (z[..., 1:] @ G.T
+                          + s_new[..., None] * _row_gamma(d, st.t0))
+            z[..., 0] = s_new
+    return z
+
+
+def _composition(rng, d):
+    """Each generator once, in random order, then up to three more."""
+    make = [
+        lambda: Translate(tuple(rng.normal(size=d - 1))),
+        lambda: Scale(*rng.uniform(0.3, 3.0, 2)),
+        lambda: Shear(*rng.normal(size=2)),
+    ]
+    kinds = list(rng.permutation(3)) + list(rng.integers(0, 3, 3))
+    return Symmetry(tuple(make[k]() for k in kinds[:3 + rng.integers(4)]))
+
+
+class TestColumnLayout:
+    """map_source / map_target on coordinate columns, byte for byte."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_same_bytes_as_row_layout(self, d):
+        rng = np.random.default_rng(300 + d)
+        for _ in range(12):
+            sigma = _composition(rng, d)
+            for shape in [(d,), (9, d), (3, 5, d), (0, d), (4099, d)]:
+                z = rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2)
+                for fn, target_side in ((map_source, False),
+                                        (map_target, True)):
+                    got = fn(sigma, z)
+                    want = _row_map(sigma, z, target_side)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    assert not np.shares_memory(got, z)
+
+    def test_coordinates_are_contiguous(self):
+        sigma = _composition(np.random.default_rng(7), D)
+        z = np.random.default_rng(8).normal(size=(4, 6, D))
+        for fn in (map_source, map_target):
+            out = fn(sigma, z)
+            assert all(out[..., k].flags.c_contiguous for k in range(D))
+
+    def test_tuple_point(self):
+        sigma = _composition(np.random.default_rng(9), D)
+        got = map_target(sigma, (0.5, (0.25, -1.0)))
+        want = _row_map(sigma, [0.5, 0.25, -1.0], True)
+        assert got.tobytes() == want.tobytes()
