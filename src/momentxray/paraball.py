@@ -11,10 +11,14 @@ the unit-frame net centres), the mock distance between paraballs, Monte
 Carlo intersection volume, the quasi-extremal ratio, and a fitter that
 localizes a near-extremal pair.
 
-Three hot paths avoid repeated work without changing a byte of output.  The
+Four hot paths avoid repeated work without changing a byte of output.  The
 greedy nets behind a partition depend only on (d, eta1, eta2), so a process
 builds each triple once and keeps the last _NET_CACHE_SIZE of them, read-only
-(see _nets).  Band tests take one band column at a time, with the same float
+(see _nets).  intersection_volume's Monte Carlo draws, and which of them lie
+in the smaller ball, depend only on (smaller ball, n, seed), so a process
+keeps one such sample, read-only, and a call against the same ball only
+tests the larger one (see _box_sample; one entry of at most n d 8 bytes).
+Band tests take one band column at a time, with the same float
 operations in the same order as the stacked form (see _band_columns).  Point
 queries (membership, Cover.contains, intersection_volume) run in
 field._blocks, one coordinate column at a time: the unit-frame maps return
@@ -141,10 +145,16 @@ def _band_columns(lead, rest, s0, t0, ybar, side: str, terms=None):
 def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str, terms=None):
     """Strict slab condition on the lead coordinate, closed band conditions.
 
-    The band conditions are ANDed in one column at a time.
+    The band conditions are ANDed in one column at a time.  A dual point
+    outside the slab is outside whatever its bands say, so its band columns
+    are taken at the slab centre t0: its term s0 (t - t0)^m would overflow
+    once |t - t0| passes about 1e154 (1e102 at d = 4).
     """
-    slab, cols = _band_columns(lead, rest, s0, t0, ybar, side, terms)
-    ok = np.abs(slab) < (alpha if side == "primal" else beta)
+    centre, width = (s0, alpha) if side == "primal" else (t0, beta)
+    ok = np.abs(lead - centre) < width
+    if side == "dual":
+        lead = np.where(ok, lead, t0)
+    _, cols = _band_columns(lead, rest, s0, t0, ybar, side, terms)
     bands = _scale_diagonal(alpha, beta, len(cols) + 1)
     for col, band in zip(cols, bands):
         ok &= np.abs(col) <= band
@@ -250,14 +260,20 @@ def dual_bbox(B: Paraball):
     return lo, hi
 
 
-def _sample_count(n, least: int) -> int:
-    """n as an int >= least: an integer or numpy integer, not a bool."""
+def _integer(value, name: str) -> int:
+    """value as an int: an integer or numpy integer, not a bool."""
     try:
-        count = operator.index(n)
+        number = operator.index(value)
     except TypeError:
-        count = None
-    if count is None or isinstance(n, (bool, np.bool_)):
-        raise ValueError(f"n must be an integer, got {n!r}")
+        number = None
+    if number is None or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
+def _sample_count(n, least: int) -> int:
+    """n as an int >= least (see _integer)."""
+    count = _integer(n, "n")
     if count < least:
         raise ValueError(f"n must be >= {least}, got {n!r}")
     return count
@@ -560,30 +576,53 @@ def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
     return float(total)
 
 
+@functools.lru_cache(maxsize=1)
+def _box_sample(small: Paraball, n: int, seed: int):
+    """Box volume and the draws of small's primal bounding box inside small.
+
+    The n draws come in _blocks from one generator, so the sample stream is
+    that of one full draw, and are scaled onto the box one coordinate column
+    at a time.  The points inside small are kept as read-only arrays, one
+    per block.  Cached per process with one entry, keyed on (small, n,
+    seed): the entry holds at most n d 8 bytes of points (2.4 MB at
+    n = 100 000, d = 3).
+    """
+    lo, hi = primal_bbox(small)
+    width = hi - lo
+    rng = np.random.default_rng(seed)
+    inside = []
+    for blk in _blocks(n):
+        u = rng.uniform(size=(blk.stop - blk.start, small.d))
+        cols = np.empty((small.d, len(u)))
+        for k, col in enumerate(cols):
+            np.add(u[:, k] * width[k], lo[k], out=col)
+        pts = cols.T[membership(small, cols.T, "primal")]
+        pts.flags.writeable = False
+        inside.append(pts)
+    return float(np.prod(width)), tuple(inside)
+
+
 def intersection_volume(Ba: Paraball, Bb: Paraball, n: int = 100_000,
                         seed: int = 0) -> float:
     """Monte Carlo volume of the primal intersection.
 
     Samples the bounding box of the smaller paraball; resolution is limited
-    by n, so disjoint-looking pairs can return exactly 0.
+    by n, so disjoint-looking pairs can return exactly 0.  n and seed are
+    integers (numpy integers too; a bool, float, None or Generator raises
+    ValueError).  The draws that land in the smaller ball depend only on
+    (smaller ball, n, seed), so they are kept by _box_sample, which holds
+    one such sample (at most n d 8 bytes); repeated calls against one ball
+    only test the larger ball on them, and every estimate is that of a
+    fresh draw.
     """
+    if Ba.d != Bb.d:
+        raise ValueError("paraballs must share a dimension")
     n = _sample_count(n, 1)
     small, large = (Ba, Bb) if volume(Ba) <= volume(Bb) else (Bb, Ba)
-    lo, hi = primal_bbox(small)
-    width = hi - lo
-    rng = np.random.default_rng(seed)
-    hits = 0
-    # drawn in _blocks from one generator, so the sample stream is that of
-    # one full draw, and scaled onto the box one coordinate column at a
-    # time; membership is pointwise, so the larger ball sees only the hits
-    for blk in _blocks(n):
-        u = rng.uniform(size=(blk.stop - blk.start, Ba.d))
-        cols = np.empty((Ba.d, len(u)))
-        for k, col in enumerate(cols):
-            np.add(u[:, k] * width[k], lo[k], out=col)
-        pts = cols.T[membership(small, cols.T, "primal")]
-        hits += np.count_nonzero(membership(large, pts, "primal"))
-    box_vol = float(np.prod(width))
+    box_vol, inside = _box_sample(small, n, _integer(seed, "seed"))
+    # membership is pointwise, so the larger ball sees only the hits
+    hits = sum(np.count_nonzero(membership(large, pts, "primal"))
+               for pts in inside)
     return box_vol * float(hits) / float(n)
 
 

@@ -1,6 +1,7 @@
 """Grids, sampled fields, the moment curve, and the norm functionals."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -524,6 +525,32 @@ class TestInterpolateBorder:
         pts[2, 1] = -np.inf
         with np.errstate(invalid="ignore"):
             assert np.array_equal(interpolate(f, pts), np.zeros(3))
+
+
+class TestFarPoints:
+    """A finite point whose floor index lies beyond int64 answers 0 with no
+    warning (warnings are errors here, with no errstate)."""
+
+    @pytest.mark.parametrize("far", [1e19, 1e300])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_interpolate_gives_zero(self, axis, far):
+        g = grid_from_box(3, "source", [-1.0] * 3, [1.0] * 3, [4] * 3)
+        f = SampledField(g, np.ones((4, 4, 4)))
+        pts = np.zeros((3, 3))
+        pts[0, axis], pts[1, axis] = far, -far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interpolate(f, pts)
+        assert got.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("far", [1e19, 1e300])
+    def test_locate_clips_the_index(self, far):
+        g = grid_from_box(3, "source", [-1.0] * 3, [1.0] * 3, [4] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, frac = g.locate(np.array([far, -far]), 1)
+        assert idx.tolist() == [2 ** 62, -2 ** 62]
+        assert frac.tolist() == [0.0, 0.0]
 
 
 def _unblocked_interpolate(f, points):

@@ -1,6 +1,8 @@
 """Paraball geometry: membership, duality, covers, distances, and fitting."""
 
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -697,6 +699,18 @@ class TestIntersectionVolume:
         assert intersection_volume(B, C, seed=5) == intersection_volume(
             B, C, seed=5)
 
+    def test_deterministic_in_seed_from_fresh_draws(self):
+        # the second call draws again instead of reading the kept sample
+        B = unit_paraball(D)
+        C = Paraball(0.3, 0.1, (0.2, 0.0), 1.2, 0.8)
+        first = intersection_volume(B, C, seed=5)
+        paraball._box_sample.cache_clear()
+        assert intersection_volume(B, C, seed=5).hex() == first.hex()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            intersection_volume(unit_paraball(3), unit_paraball(4))
+
 
 class TestSampleCounts:
     """n is an integer count: numpy integers pass, bools and floats do not."""
@@ -731,6 +745,24 @@ class TestSampleCounts:
             sample_points(B, -1, np.random.default_rng(0))
         assert sample_points(B, 0, np.random.default_rng(0)).shape == (0, D)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, 2.0, True, np.False_,
+                                      np.random.default_rng(0),
+                                      np.random.SeedSequence(0)],
+                             ids=["none", "float", "integral-float", "true",
+                                  "numpy-bool", "generator", "seed-sequence"])
+    def test_non_integer_seeds_rejected(self, seed):
+        B = unit_paraball(D)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            intersection_volume(B, B, 100, seed)
+
+    def test_numpy_integer_seeds_accepted(self):
+        B = Paraball(0.1, 0.3, (0.2, -0.4), 1.1, 0.9)
+        C = Paraball(0.3, 0.1, (0.2, 0.0), 1.2, 0.8)
+        want = intersection_volume(B, C, 5000, seed=3)
+        for seed in (np.int64(3), np.int32(3), np.uint8(3)):
+            paraball._box_sample.cache_clear()
+            assert intersection_volume(B, C, 5000, seed).hex() == want.hex()
+
     def test_unit_ball_self_volume_uses_the_count_drawn(self):
         # every sample of the unit box hits; the estimate is the box volume
         B = unit_paraball(D)
@@ -757,6 +789,39 @@ class TestNonFinitePoints:
             pts[k, k] = np.nan
         assert not membership(B, pts[0], side)
         assert membership(B, pts, side).tolist() == [False] * D + [True] * 3
+
+
+class TestFarDualPoints:
+    """A dual point far outside the slab answers False, with no overflow in
+    its band term s0 (t - t0)^m (warnings are errors here, with no errstate)."""
+
+    @staticmethod
+    def _points(d, centre):
+        # |t - t0| past 1e154 overflows the square, past 1e103 the cube;
+        # the last point is the centre, inside every dual shadow
+        pts = np.zeros((4, d))
+        pts[:3, 0] = 1e200, -1e300, 1e120
+        pts[:3, 1] = 1.0
+        pts[3] = centre
+        return pts
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_membership(self, d):
+        B = Paraball(0.5, 0.25, (0.1,) * (d - 1), 1.0, 1.0)
+        pts = self._points(d, (B.t0,) + B.ybar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = membership(B, pts, "dual")
+            assert [membership(B, p, "dual") for p in pts] == got.tolist()
+        assert got.tolist() == [False, False, False, True]
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_contains(self, d):
+        cover = partition(unit_paraball(d), 0.5, THETA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cover.contains(self._points(d, 0.0), "dual")
+        assert got.tolist() == [False, False, False, True]
 
 
 # the point-wise pipelines as one pass over every point, before they ran
@@ -912,6 +977,85 @@ class TestBlocks:
                 got = intersection_volume(A, C, n, seed=n)
                 want = _unblocked_intersection_volume(A, C, n, seed=n)
                 assert got.hex() == want.hex(), n
+
+
+class TestBoxSampleMemo:
+    """intersection_volume keeps one sample of the smaller ball's box; every
+    call still returns the bytes of a fresh draw."""
+
+    A = Paraball(0.1, 0.3, (0.2, -0.4), 1.1, 0.9)
+    L1 = Paraball(0.3, 0.3, (0.2, -0.4), 1.5, 1.1)
+    L2 = Paraball(0.8, 0.2, (0.1, -0.3), 1.4, 1.2)
+    S2 = Paraball(-0.2, 0.1, (0.0, -0.2), 1.0, 1.0)
+
+    def test_sequence_matches_fresh_draws(self):
+        A, L1, L2, S2 = self.A, self.L1, self.L2, self.S2
+        assert volume(A) < min(volume(L1), volume(L2))
+        assert volume(S2) < volume(L2)
+        n1, n2 = 3 * _BLOCK + 7, 2 * _BLOCK
+        calls = [
+            (A, L1, n1, 3),
+            (A, L1, n1, 3),   # the same key
+            (A, L1, n2, 3),   # only n
+            (A, L1, n2, 4),   # only the seed
+            (A, L2, n2, 4),   # only the partner
+            (S2, L2, n2, 4),  # only the smaller ball
+            (L2, S2, n2, 4),  # the argument order swapped
+            (A, L1, n1, 3),   # back to the first key
+        ]
+        paraball._box_sample.cache_clear()
+        got = [intersection_volume(*c).hex() for c in calls]
+        assert got == [_unblocked_intersection_volume(*c).hex() for c in calls]
+        assert len(set(got)) >= 5
+
+    def test_negative_zero_fields(self):
+        # -0.0 and 0.0 compare and hash equal, so the twins share a key
+        plus = Paraball(0.0, 0.0, (0.0, 0.0), 1.0, 1.0)
+        minus = Paraball(-0.0, -0.0, (-0.0, -0.0), 1.0, 1.0)
+        assert plus == minus and hash(plus) == hash(minus)
+        assert math.copysign(1.0, minus.ybar[1]) == -1.0
+        want = _unblocked_intersection_volume(minus, self.L1, 5000, 1)
+        paraball._box_sample.cache_clear()
+        intersection_volume(plus, self.L1, 5000, 1)
+        assert intersection_volume(minus, self.L1, 5000, 1).hex() == want.hex()
+        assert _unblocked_intersection_volume(
+            plus, self.L1, 5000, 1).hex() == want.hex()
+
+    def test_one_entry(self):
+        for n, seed in ((1000, 0), (2000, 0), (2000, 1)):
+            intersection_volume(self.A, self.L1, n, seed)
+            intersection_volume(self.S2, self.L2, n, seed)
+            assert paraball._box_sample.cache_info().currsize <= 1
+
+    def test_kept_points_are_read_only(self):
+        _, inside = paraball._box_sample(self.A, 2 * _BLOCK + 1, 0)
+        assert len(inside) == 3
+        for pts in inside:
+            with pytest.raises(ValueError):
+                pts[...] = 0.0
+
+    def test_memory(self):
+        # the unit ball fills its box, so the memo holds about n d 8 bytes;
+        # a repeated call allocates only the band test's temporaries for one
+        # block (about two blocks of points), where a fresh draw of the
+        # blocks also allocates the draws, their scaling and the kept points
+        # (five blocks of points)
+        small = unit_paraball(D)
+        n = 20 * _BLOCK
+        block = _BLOCK * D * 8
+        intersection_volume(small, self.L1, 10, 0)
+        paraball._box_sample.cache_clear()
+        tracemalloc.start()
+        try:
+            intersection_volume(small, self.L1, n, 0)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            intersection_volume(small, self.L2, n, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * n * D * 8 <= held <= n * D * 8 + 64 * 1024
+        assert peak - held <= 3 * block
 
 
 def _unit_pair(n=32):
