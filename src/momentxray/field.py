@@ -324,8 +324,8 @@ def interpolate(f: SampledField, points: np.ndarray) -> np.ndarray:
     values get one zero node on every side, so each corner is one gather with
     no bounds check and values decay linearly to zero within one cell beyond
     the boundary nodes.  Points whose cell misses the grid give 0, and so do
-    points with a NaN or infinite coordinate.  The points run in _blocks,
-    one coordinate column at a time.
+    points with a NaN or infinite coordinate, without a warning.  The points
+    run in _blocks, one coordinate column at a time.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != f.d:
@@ -337,17 +337,20 @@ def interpolate(f: SampledField, points: np.ndarray) -> np.ndarray:
     corners = [[(corner >> k) & 1 for k in range(f.d)]
                for corner in range(1 << f.d)]
     offsets = [np.ravel_multi_index(bits, shape) for bits in corners]
+    # a coordinate beyond one cell past the box on either side, NaN or
+    # infinite lies in no cell: its point gives 0 and never reaches locate,
+    # whose division a far point on a fine grid would overflow
+    reach = [(o - 2.0 * h, o + (n + 1.0) * h)
+             for o, h, n in zip(f.grid.origin, f.grid.spacing, counts)]
     out = np.empty(len(flat))
     for blk in _blocks(len(flat)):
         cells, weights, live = [], [], True
         for k, n in enumerate(counts):
             x = flat[blk, k]
-            finite = np.isfinite(x)
-            if not finite.all():
-                # no cell holds a NaN or infinite coordinate: its point gives
-                # 0, and never reaches the int64 cast in locate
-                x = np.where(finite, x, f.grid.origin[k])
-                live = live & finite
+            near = (x >= reach[k][0]) & (x <= reach[k][1])
+            if not near.all():
+                x = np.where(near, x, f.grid.origin[k])
+                live = live & near
             base, frac = f.grid.locate(x, k)
             cells.append(np.clip(base + 1, 0, n))
             weights.append((1.0 - frac, frac))

@@ -452,7 +452,9 @@ class Cover:
         gives an array of shape (1,).  Points run in _blocks: each block is
         mapped to the unit frame and tested against the member found by the
         lattice lookup; the points that lookup misses are then tested
-        against every member.  A point that is not finite raises ValueError.
+        against every member.  A point that is not finite raises ValueError;
+        a finite point whose unit-frame image leaves the float range lies
+        outside every member and gives False.
         """
         _check_side(side)
         d = self.base.d
@@ -462,19 +464,32 @@ class Cover:
         fmap = map_source if side == "primal" else map_target
         unit = inverse(to_symmetry(self.base), d)
         a, b = 2.0 * self.eta1, 2.0 * self.eta2
-        ok = np.empty(len(z), dtype=bool)
+        ok = np.zeros(len(z), dtype=bool)
+        far = None  # the points whose image overflowed, once there is one
         missed = []
         for blk in _blocks(len(z)):
-            u = fmap(unit, z[blk])
+            # a far point's image may overflow; the images are screened
+            # below, and the errstate covers the mapping alone
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = fmap(unit, z[blk])
+            keep = slice(None)
             if not np.isfinite(u).all():
-                raise ValueError("points must be finite")
+                if not np.isfinite(z[blk]).all():
+                    raise ValueError("points must be finite")
+                # a point whose image overflowed stays False and out of the
+                # miss scan
+                keep = np.isfinite(u).all(axis=1)
+                if far is None:
+                    far = np.zeros(len(z), dtype=bool)
+                far[blk] = ~keep
+                u = u[keep]
             lead, rest = u[:, 0], u[:, 1:]
             i = self._y_index.query(rest)
             j = self._s_index.query(lead) if side == "primal" else 0
             k = 0 if side == "primal" else self._t_index.query(lead)
             hit = _inside(lead, rest, self.s_net[j], self.t_net[k],
                           self.y_net[i], a, b, side)
-            ok[blk] = hit
+            ok[blk][keep] = hit
             if not hit.all():
                 missed.append(u[~hit])
         # points the lattice lookup misses: test against every member, whose
@@ -482,7 +497,8 @@ class Cover:
         if missed:
             S, T, Y = _member_centres(self.s_net, self.t_net, self.y_net)
             terms = _centre_terms(T, d, side)
-            ok[~ok] = [_inside(p[0], p[1:], S, T, Y, a, b, side, terms).any()
+            scan = ~ok if far is None else ~(ok | far)
+            ok[scan] = [_inside(p[0], p[1:], S, T, Y, a, b, side, terms).any()
                        for p in np.concatenate(missed)]
         return ok.reshape(shape)
 
@@ -542,10 +558,26 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
 
 
 def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
-    """Nine-term quasi-distance; equals 5 when the paraballs coincide."""
+    """Nine-term quasi-distance; equals 5 when the paraballs coincide.
+
+    A term past the float range makes it +inf, in either argument order
+    and without a warning: a far t0, or a volume that underflows to 0.  So
+    coinciding paraballs with |t0| past about 1e154 (1e102 at d = 4), where
+    gamma(t0) overflows, are at distance +inf, not 5.
+    """
     if Ba.d != Bb.d:
         raise ValueError("paraballs must share a dimension")
-    d = Ba.d
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = _mock_terms(Ba, Bb, Ba.d)
+    except (OverflowError, ZeroDivisionError):  # Python float ops
+        return math.inf
+    # every term is >= 0, so a NaN comes from an overflowed one
+    return math.inf if math.isnan(total) else total
+
+
+def _mock_terms(Ba: Paraball, Bb: Paraball, d: int) -> float:
+    """mock_distance's nine terms, summed; the caller handles overflow."""
     Va = _scale_jacobians(Ba.alpha, Ba.beta, d)[1]
     Vb = _scale_jacobians(Bb.alpha, Bb.beta, d)[1]
     total = max(Va, Vb) / min(Va, Vb)

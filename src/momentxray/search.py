@@ -11,6 +11,7 @@ iterate as its report's ``state``; given ``out_dir`` it writes there
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -63,6 +64,16 @@ class SearchConfig:
         return trip
 
     def plan(self) -> TransformPlan:
+        """The search's transform plan: one per config, built on first call.
+
+        Every step of a run applies X and X* on this one plan, so each
+        direction's matched-kernel schedule is built once per config and
+        freed with it.
+        """
+        return self._plan
+
+    @functools.cached_property
+    def _plan(self) -> TransformPlan:
         L = self.box_half
         src = grid_from_box(self.d, "source", -L, L, self.counts)
         tgt = grid_from_box(self.d, "target", -L, L, self.counts)

@@ -22,16 +22,28 @@ zero.  An axis is matched when the input and output spacings agree within
 1e-12 relative; the shifted points are then a translated copy of the input
 lattice.  The resampling has two kernels, chosen once per sweep:
 
-- every cross-section axis matched: a per-level loop over live windows.
-  One numpy pass per node (``_live_windows``) finds every level's integer
-  shift m0 and fraction fr per axis, and with them the window of output
-  nodes whose two taps reach the input; levels with an empty window are
-  skipped.  Each remaining level blends only its window, axes first to
-  last (the second tap only when fr != 0), and adds it into the output.
-  Each output element gets the same float ops in the same order as in a
-  two-tap blend of the whole section per level and axis; the nodes outside
-  the window are exact zeros there and only ever add zeros.  So the output
-  is byte-identical to that loop (the reference in the tests).
+- every cross-section axis matched: a per-level loop over live windows,
+  split into a plan step and an execute step.  The plan step
+  (``_matched_schedule``) makes one numpy pass per node
+  (``_live_windows``) that finds every level's integer shift m0 and
+  fraction fr per axis, and with them the window of output nodes whose two
+  taps reach the input; levels with an empty window are skipped.  It keeps
+  per node the axis-0 section index and weights, and per live level the
+  src and dst slice tuples and the weights 1 - fr, fr per axis.  The
+  execute step (``_run_schedule``) blends each live level's window, axes
+  first to last (the second tap only when fr != 0), and adds it into the
+  output.  Each output element gets the same float ops in the same order
+  as in a two-tap blend of the whole section per level and axis; the nodes
+  outside the window are exact zeros there and only ever add zeros.  So
+  the output is byte-identical to that loop (the reference in the tests).
+  The schedule depends only on the plan and the direction, so the
+  ``TransformPlan`` builds it on the first X (or X*) that it serves and
+  holds it until the plan is freed.  It is not a field, so equal plans
+  compare, hash and print equal whether used or not.  A (node, level) pair
+  holds a src and a dst tuple, whose slices come from one shared table per
+  axis, and 2 (d - 1) float64 weights.  With the
+  per-node parts that is 180-200 bytes per pair at d = 3 and about 280 at
+  d = 4 (CPython 3.11): 1 MB for the X and X* schedules of one 64^3 plan.
 - any cross-section axis mismatched: ``_level_sections``, one gather and
   blend per axis for a run of output levels at once, with per-level
   two-tap indices and hat weights.  At each node ``_live_levels`` finds
@@ -106,7 +118,12 @@ _MIN_PART = 1 << 16
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Grids plus quadrature counts for X (s-integral) and X* (t-integral)."""
+    """Grids plus quadrature counts for X (s-integral) and X* (t-integral).
+
+    On matched grids the plan also keeps, from the first X and the first
+    X* it serves, that direction's matched-kernel schedule, so reusing one
+    plan skips the shift arithmetic (see the module docstring).
+    """
 
     source_grid: Grid
     target_grid: Grid
@@ -132,6 +149,17 @@ class TransformPlan:
     @property
     def d(self):
         return self.source_grid.d
+
+    # the matched kernel's schedules, built on first use and kept with the
+    # plan (see the module docstring); not fields, so ==, hash and repr
+    # ignore them
+    @functools.cached_property
+    def _x_schedule(self):
+        return _matched_schedule(*_direction(self, adjoint=False))
+
+    @functools.cached_property
+    def _x_star_schedule(self):
+        return _matched_schedule(*_direction(self, adjoint=True))
 
 
 def _quad_nodes(grid: Grid, n: int):
@@ -257,7 +285,8 @@ def _level_part(values, tasks, in_grid: Grid, out_grid: Grid,
         start = j0 + (k - j0) % workers
         if start >= j1:
             continue
-        section = _section(values, in_grid, u)
+        m0, fr = in_grid.locate(u, 0)
+        section = _section(values, m0 + 1, 1.0 - fr, fr)
         if not section.any():
             continue
         mine = slice(start, j1, workers)
@@ -300,16 +329,15 @@ def _run_parts(parts):
 
 
 def _live_windows(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
-    """Blend windows of every output level at once, for the matched kernel.
+    """Live levels of the matched kernel, with their shifts and fractions.
 
     On each cross-section axis, output node i of a level blends input nodes
     m0 + i and m0 + i + 1 with weights 1 - fr and fr, where (m0, fr) is
     the input grid's ``locate`` of out origin + offset, for all levels in
     one call.  Only the window i in [max(0, -m0 - 1), min(n_out, n_in - m0))
     reaches the input; outside it the level's section is exactly zero.
-    Yields, for each level whose windows are all non-empty, the slices of
-    the zero-bordered input (one node wider than the window) and of the
-    output, and the weights fr per axis.
+    Returns the levels whose windows are all non-empty, and their m0 and fr
+    per axis, one row per level.
     """
     ax = slice(1, in_grid.d)
     m0, fr = in_grid.locate(np.array(out_grid.origin[ax]) + offsets, ax)
@@ -317,61 +345,130 @@ def _live_windows(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
     hi = np.minimum(np.array(out_grid.counts[ax]),
                     np.array(in_grid.counts[ax]) - m0)
     live = np.flatnonzero((hi > lo).all(axis=1))
-    rows = (v[live].tolist() for v in (lo + m0 + 1, hi + m0 + 2, lo, hi, fr))
-    for j, in_lo, in_hi, out_lo, out_hi, frs in zip(live.tolist(), *rows):
-        yield (tuple(map(slice, in_lo, in_hi)),
-               (j,) + tuple(map(slice, out_lo, out_hi)), frs)
+    return live, m0[live], fr[live]
 
 
-def _section(values: np.ndarray, in_grid: Grid, u: float) -> np.ndarray:
-    """The zero-bordered input blended along axis 0 at quadrature node u."""
-    m0, fr = in_grid.locate(u, 0)
-    section = values[m0 + 1] * (1.0 - fr)
+def _window_cuts(n_in: int, n_out: int):
+    """The slices of a live level's window on one axis, for every live m0.
+
+    Entry m0 + n_out, for m0 in [-n_out, n_in), holds the slice of the
+    zero-bordered input (one node wider than the window) and the slice of
+    the output; see ``_live_windows``.
+    """
+    src, dst = [], []
+    for m0 in range(-n_out, n_in):
+        lo, hi = max(0, -m0 - 1), min(n_out, n_in - m0)
+        src.append(slice(lo + m0 + 1, hi + m0 + 2))
+        dst.append(slice(lo, hi))
+    return src, dst
+
+
+def _section(values: np.ndarray, i: int, w: float, fr: float) -> np.ndarray:
+    """Slices i and i + 1 of the zero-bordered input blended with weights
+    w = 1 - fr and fr: the input along axis 0 at a quadrature node that
+    ``locate`` puts at (i - 1, fr)."""
+    section = values[i] * w
     if fr != 0.0:
-        section += fr * values[m0 + 2]
+        section += fr * values[i + 1]
     return section
 
 
-def _sweep(values: np.ndarray, in_grid: Grid, out_grid: Grid, n_quad: int,
-           offsets):
-    """Quadrature over in_grid's axis 0 of the incidence-shifted sections.
+def _direction(plan: TransformPlan, adjoint: bool):
+    """(input grid, output grid, quadrature count, offsets) of X or X*.
+
+    offsets(u) holds the output levels' shifts at quadrature node u:
+    u gamma(t) for X and -s gamma(u) for X*.
+    """
+    if adjoint:
+        s_levels = plan.source_grid.axis_nodes(0)[:, None]
+        return (plan.target_grid, plan.source_grid, plan.t_quad,
+                lambda t_k: -s_levels * gamma_eval(plan.d, t_k))
+    gam = gamma_eval(plan.d, plan.target_grid.axis_nodes(0))  # (n_t, d-1)
+    return (plan.source_grid, plan.target_grid, plan.s_quad,
+            lambda s_k: s_k * gam)
+
+
+def _matched_schedule(in_grid: Grid, out_grid: Grid, n_quad: int, offsets):
+    """The matched kernel's shift arithmetic for one plan and direction.
+
+    Returns (step, entries) with one entry per quadrature node that has a
+    live level: the arguments i, w and fr of its ``_section``, then, for
+    the levels that ``_live_windows`` finds live, their src and dst windows
+    as two tuples and their weights as one (levels, d - 1, 2) array holding
+    (1 - fr, fr) per cross-section axis.  The windows' slices come from
+    one ``_window_cuts`` table per axis, so pairs share them.
+    """
+    nodes, step = _quad_nodes(in_grid, n_quad)
+    n_out = np.array(out_grid.counts[1:])
+    cuts = [_window_cuts(n_i, n_o)
+            for n_i, n_o in zip(in_grid.counts[1:], out_grid.counts[1:])]
+    entries = []
+    for u in nodes:
+        live, shifts, frs = _live_windows(offsets(u), in_grid, out_grid)
+        if not live.size:
+            continue
+        rows = (shifts + n_out).T.tolist()  # table entries, one list per axis
+        src = [map(tab.__getitem__, r) for (tab, _), r in zip(cuts, rows)]
+        dst = [map(tab.__getitem__, r) for (_, tab), r in zip(cuts, rows)]
+        m0, fr = in_grid.locate(u, 0)
+        fr = float(fr)
+        entries.append((int(m0) + 1, 1.0 - fr, fr, tuple(zip(*src)),
+                        tuple(zip(live.tolist(), *dst)),
+                        np.stack([1.0 - frs, frs], axis=-1)))
+    return step, tuple(entries)
+
+
+def _run_schedule(values: np.ndarray, schedule, out_grid: Grid):
+    """The matched kernel's blends and sums, read off a ``_matched_schedule``.
+
+    values is the zero-bordered input.
+    """
+    step, entries = schedule
+    out = np.zeros(out_grid.shape)
+    tap_cuts = [((slice(None),) * axis + (slice(None, -1),),
+                 (slice(None),) * axis + (slice(1, None),))
+                for axis in range(out_grid.d - 1)]
+    for i, w, fr, srcs, dsts, taps in entries:
+        section = _section(values, i, w, fr)
+        if not section.any():
+            continue
+        for src, dst, level_taps in zip(srcs, dsts, taps.tolist()):
+            res = section[src]
+            for (first, second), (w_lo, w_hi) in zip(tap_cuts, level_taps):
+                blend = res[first] * w_lo
+                if w_hi != 0.0:
+                    blend += w_hi * res[second]
+                res = blend
+            out[dst] += res
+    return out * step
+
+
+def _sweep(values: np.ndarray, plan: TransformPlan, adjoint: bool):
+    """Quadrature over the input grid's axis 0 of the incidence-shifted
+    sections: X's values if not adjoint, else X*'s.
 
     At each node u the input slice is interpolated along axis 0 and
     resampled onto output level j's cross-section shifted by offsets(u)[j].
     """
-    nodes, step = _quad_nodes(in_grid, n_quad)
-    out = np.zeros(out_grid.shape)
+    in_grid, out_grid, n_quad, offsets = _direction(plan, adjoint)
     # one zero node on every side of every axis: each tap of either kernel
     # lands on the input or on a zero
     values = np.pad(values, 1)
-    if not all(_matched(in_grid, out_grid, m) for m in range(1, in_grid.d)):
-        tasks = []
-        for u in nodes:
-            off = offsets(u)
-            j0, j1 = _live_levels(off, in_grid, out_grid)
-            if j0 < j1:
-                tasks.append((u, off, j0, j1))
-        workers = max(1, min(_CORES, _MAX_WORKERS,
-                              out.size // _MIN_PART))
-        _run_parts([functools.partial(_level_part, values, tasks, in_grid,
-                                      out_grid, out, k, workers)
-                    for k in range(workers)])
-        return out * step
-    tap_cuts = [((slice(None),) * axis + (slice(None, -1),),
-                 (slice(None),) * axis + (slice(1, None),))
-                for axis in range(in_grid.d - 1)]
+    if all(_matched(in_grid, out_grid, m) for m in range(1, in_grid.d)):
+        schedule = plan._x_star_schedule if adjoint else plan._x_schedule
+        return _run_schedule(values, schedule, out_grid)
+    nodes, step = _quad_nodes(in_grid, n_quad)
+    out = np.zeros(out_grid.shape)
+    tasks = []
     for u in nodes:
-        section = _section(values, in_grid, u)
-        if not section.any():
-            continue
-        for src, dst, frs in _live_windows(offsets(u), in_grid, out_grid):
-            res = section[src]
-            for (first, second), fr in zip(tap_cuts, frs):
-                blend = res[first] * (1.0 - fr)
-                if fr != 0.0:
-                    blend += fr * res[second]
-                res = blend
-            out[dst] += res
+        off = offsets(u)
+        j0, j1 = _live_levels(off, in_grid, out_grid)
+        if j0 < j1:
+            tasks.append((u, off, j0, j1))
+    workers = max(1, min(_CORES, _MAX_WORKERS, out.size // _MIN_PART))
+    _run_parts([functools.partial(_level_part, values, tasks, in_grid,
+                                  out_grid, out, k, workers)
+                for k in range(workers)])
     return out * step
 
 
@@ -379,20 +476,16 @@ def apply_X(f: SampledField, plan: TransformPlan) -> SampledField:
     """Forward transform onto the plan's target grid."""
     if f.grid != plan.source_grid:
         raise ValueError("field grid does not match the plan's source grid")
-    gam = gamma_eval(plan.d, plan.target_grid.axis_nodes(0))  # (n_t, d-1)
-    return SampledField(grid=plan.target_grid, values=_sweep(
-        f.values, plan.source_grid, plan.target_grid, plan.s_quad,
-        lambda s_k: s_k * gam))
+    return SampledField(grid=plan.target_grid,
+                        values=_sweep(f.values, plan, adjoint=False))
 
 
 def apply_X_star(g: SampledField, plan: TransformPlan) -> SampledField:
     """Adjoint transform onto the plan's source grid."""
     if g.grid != plan.target_grid:
         raise ValueError("field grid does not match the plan's target grid")
-    s_levels = plan.source_grid.axis_nodes(0)[:, None]
-    return SampledField(grid=plan.source_grid, values=_sweep(
-        g.values, plan.target_grid, plan.source_grid, plan.t_quad,
-        lambda t_k: -s_levels * gamma_eval(plan.d, t_k)))
+    return SampledField(grid=plan.source_grid,
+                        values=_sweep(g.values, plan, adjoint=True))
 
 
 def bilinear(f: SampledField, g: SampledField, plan: TransformPlan) -> float:

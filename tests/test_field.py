@@ -543,6 +543,18 @@ class TestFarPoints:
             got = interpolate(f, pts)
         assert got.tolist() == [0.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_far_point_on_a_fine_grid_gives_zero(self, axis):
+        # (x - origin) / h would overflow for x = 1e308, h = 5e-10
+        g = grid_from_box(3, "source", [-1e-9] * 3, [1e-9] * 3, [4] * 3)
+        f = SampledField(g, np.ones((4, 4, 4)))
+        pts = np.zeros((3, 3))
+        pts[0, axis], pts[1, axis] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interpolate(f, pts)
+        assert got.tolist() == [0.0, 0.0, 1.0]
+
     @pytest.mark.parametrize("far", [1e19, 1e300])
     def test_locate_clips_the_index(self, far):
         g = grid_from_box(3, "source", [-1.0] * 3, [1.0] * 3, [4] * 3)

@@ -676,6 +676,22 @@ class TestMockDistance:
         with pytest.raises(ValueError):
             mock_distance(a, b)
 
+    @pytest.mark.parametrize("far", [
+        Paraball(0.0, 1e200, (0.0, 0.0), 1.0, 1.0),
+        Paraball(0.0, 1e200, (0.0, 0.0, 0.0), 1.0, 1.0),
+        Paraball(0.5, -1e300, (0.0, 0.0), 1.0, 1.0),
+        Paraball(0.0, 0.0, (1e308, -1e308), 1.0, 1.0),
+        Paraball(0.0, 0.0, (0.0, 0.0), 1e300, 1.0),
+        Paraball(0.0, 0.0, (0.0, 0.0), 1.0, 1e-300),
+    ], ids=["t0-d3", "t0-d4", "t0-s0", "ybar", "alpha", "beta-volume"])
+    def test_past_the_float_range_is_inf(self, far):
+        # warnings are errors here, with no errstate
+        near = unit_paraball(far.d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            there, back = mock_distance(near, far), mock_distance(far, near)
+        assert there == back == math.inf
+
 
 class TestIntersectionVolume:
     def test_self_intersection(self):
@@ -822,6 +838,49 @@ class TestFarDualPoints:
             warnings.simplefilter("error")
             got = cover.contains(self._points(d, 0.0), "dual")
         assert got.tolist() == [False, False, False, True]
+
+
+class TestFarImages:
+    """On a base with s0 != 0, a finite dual point whose unit-frame image
+    leaves the float range answers False, with no warning and no miss scan
+    (the primal images of these points are finite and miss every member)."""
+
+    BASE = Paraball(0.3, -0.2, (0.1, 0.4), 0.9, 1.2)
+    FAR = np.array([[1e200, 0.0, 0.0], [-1e300, 1.0, 0.0]])
+
+    def _centre(self, side):
+        fmap = map_source if side == "primal" else map_target
+        return fmap(to_symmetry(self.BASE), np.zeros(D))
+
+    def test_far_dual_points_skip_the_miss_scan(self, monkeypatch):
+        cover = partition(self.BASE, 0.5, THETA)
+
+        def no_scan(*args):
+            raise AssertionError("a far point reached the miss scan")
+
+        monkeypatch.setattr(paraball, "_member_centres", no_scan)
+        pts = np.vstack([self.FAR, self._centre("dual")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cover.contains(pts, "dual")
+        assert got.tolist() == [False, False, True]
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_misses_keep_their_places(self, side):
+        cover = partition(self.BASE, 0.5, THETA)
+        rng = np.random.default_rng(97)
+        near = self._centre(side) + rng.uniform(-3.0, 3.0, (60, D))
+        want = _unblocked_contains(cover, near, side)
+        assert want.any() and not want.all()
+        at = [0, 9, 9, 60]
+        pts = np.insert(near, at, self.FAR[[0, 1, 1, 0]], axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cover.contains(pts, side)
+        far = np.zeros(len(pts), dtype=bool)
+        far[np.array(at) + np.arange(len(at))] = True
+        assert not got[far].any()
+        assert got[~far].tolist() == want.tolist()
 
 
 # the point-wise pipelines as one pass over every point, before they ran

@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from momentxray.search import (
     renormalize_state,
     run_search,
 )
+from momentxray import xray
 from momentxray.xray import apply_X, bilinear
 
 from conftest import box_grid
@@ -277,6 +279,49 @@ class TestReportState:
         assert rep.as_dict()["fieldPath"] is None
         assert rep.state.f.values.shape == (8,) * D
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSharedPlan:
+    """One plan per config: a run builds each direction's matched-kernel
+    schedule once, and a reused config writes the bytes of a fresh one."""
+
+    OUTPUTS = ("extremizer.field", "search_log.jsonl", "report.json")
+
+    def test_one_plan_per_config(self):
+        cfg = SearchConfig(counts=8)
+        assert cfg.plan() is cfg.plan()
+        assert cfg.plan() == SearchConfig(counts=8).plan()
+        assert replace(cfg, counts=10).plan().source_grid.counts == (10,) * D
+
+    def test_a_run_schedules_each_direction_once(self, monkeypatch):
+        calls = []
+        live = xray._live_windows
+
+        def counting(*args):
+            calls.append(args)
+            return live(*args)
+
+        monkeypatch.setattr(xray, "_live_windows", counting)
+        cfg = SearchConfig(counts=8, seed=1, max_iters=6, renorm_every=2,
+                           tol_phi=0.0)
+        rep = run_search(cfg)
+        assert rep.iters >= 3
+        plan = cfg.plan()
+        assert len(calls) == plan.s_quad + plan.t_quad
+
+    def test_reused_config_writes_a_fresh_ones_bytes(self, tmp_path):
+        cfg = SearchConfig(counts=10, seed=2, max_iters=6, renorm_every=2,
+                           out_dir=str(tmp_path / "reused"))
+
+        def written(run_cfg):
+            run_search(run_cfg)
+            return [Path(run_cfg.out_dir, name).read_bytes()
+                    for name in self.OUTPUTS]
+
+        first = written(cfg)
+        again = written(cfg)
+        fresh = written(replace(cfg, out_dir=str(tmp_path / "fresh")))
+        assert first == again == fresh
 
 
 class TestConfigValidation:

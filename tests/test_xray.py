@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -590,6 +591,115 @@ class TestMatchedKernel:
                                   lambda t: -s_levels * gamma_eval(plan.d, t))
         assert seen == {(d, m, kind) for d in (3, 4) for m in range(1, d)
                         for kind in ("dead", "partial", "aligned")}
+
+
+SCHEDULE_CASES = {
+    # name: (source grid, target grid, quadrature nodes per grid level);
+    # the mixed plan has a mismatched axis and keeps no schedule
+    **{name: MATCHED_CASES[name][:3]
+       for name in ("d3-16", "d3-15-2n", "d4-10", "d4-9-2n")},
+    "mixed": LEVEL_CASES["mixed"][:2] + (1,),
+}
+
+
+def _schedule_plan(case):
+    sg, tg, per_level = SCHEDULE_CASES[case]
+    return TransformPlan(sg, tg, per_level * sg.counts[0],
+                         per_level * tg.counts[0])
+
+
+class TestPlanSchedule:
+    """A plan keeps the matched kernel's schedule of each direction after
+    its first use; later calls give the bytes a fresh plan gives."""
+
+    @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+    def test_reuse_gives_a_fresh_plans_bytes(self, case):
+        plan = _schedule_plan(case)
+        rng = np.random.default_rng(90)
+        for grid, op in ((plan.source_grid, apply_X),
+                         (plan.target_grid, apply_X_star)):
+            field = SampledField(grid, rng.random(grid.shape) - 0.3)
+            hollow = field.values.copy()
+            hollow[:3] = hollow[-3:] = 0.0  # empty sections at both ends
+            other = SampledField(grid, hollow)
+            first = op(field, plan).values.tobytes()
+            second = op(other, plan).values.tobytes()
+            third = op(field, plan).values.tobytes()
+            fresh = [op(v, _schedule_plan(case)).values.tobytes()
+                     for v in (field, other)]
+            assert first == third == fresh[0]
+            assert second == fresh[1]
+        kept = {"_x_schedule", "_x_star_schedule"} & set(vars(plan))
+        assert kept == (set() if case == "mixed"
+                        else {"_x_schedule", "_x_star_schedule"})
+
+    def test_each_direction_is_scheduled_on_its_first_call(self, monkeypatch):
+        calls = []
+        live = xray._live_windows
+
+        def counting(*args):
+            calls.append(args)
+            return live(*args)
+
+        monkeypatch.setattr(xray, "_live_windows", counting)
+        plan = _schedule_plan("d3-15-2n")
+        rng = np.random.default_rng(91)
+        f = SampledField(plan.source_grid, rng.random(plan.source_grid.shape))
+        g = SampledField(plan.target_grid, rng.random(plan.target_grid.shape))
+        for _ in range(3):
+            apply_X(f, plan)
+        assert len(calls) == plan.s_quad
+        for _ in range(3):
+            apply_X_star(g, plan)
+        assert len(calls) == plan.s_quad + plan.t_quad
+
+    @pytest.mark.parametrize("case", ["d3-16", "d4-9-2n"])
+    def test_threads_on_a_fresh_plan(self, case):
+        # more threads than cores, switching often, all making the plan's
+        # first X and X*: each may build a schedule, and every thread must
+        # still get a fresh plan's bytes
+        plan = _schedule_plan(case)
+        rng = np.random.default_rng(92)
+        f = SampledField(plan.source_grid, rng.random(plan.source_grid.shape))
+        g = SampledField(plan.target_grid, rng.random(plan.target_grid.shape))
+        want = [op(v, _schedule_plan(case)).values.tobytes()
+                for op, v in ((apply_X, f), (apply_X_star, g))]
+        workers = 4
+        start = threading.Barrier(workers)
+        got, errors = [], []
+
+        def first_calls():
+            try:
+                start.wait(timeout=30)
+                got.append([op(v, plan).values.tobytes()
+                            for op, v in ((apply_X, f), (apply_X_star, g))])
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_calls)
+                       for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert got == [want] * workers
+
+    def test_equal_plans_stay_equal_after_use(self):
+        used, fresh = _schedule_plan("d3-16"), _schedule_plan("d3-16")
+        rng = np.random.default_rng(93)
+        apply_X(SampledField(used.source_grid,
+                             rng.random(used.source_grid.shape)), used)
+        assert "_x_schedule" in vars(used)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert len({used, fresh}) == 1
 
 
 def _overlap(a, b, axis, k):
