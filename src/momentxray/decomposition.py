@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .exponents import as_float
-from .field import SampledField, _slice_integrals
+from .field import SampledField, _integer, _slice_integrals
 
 J_FLOOR = -40
 
@@ -153,8 +153,7 @@ def trim_frequency(f: SampledField, W: int, p=2):
     j0 maximizes 2^{jp} |E_j| (ties to the smaller j); the returned field is
     the minorant sum of 2^j chi_{E_j} over |j - j0| < W, so it is <= f.
     """
-    if W < 1:
-        raise ValueError("W must be >= 1")
+    W = _integer(W, "W", 1)
     pieces = dyadic_decompose(f)
     if not pieces:
         raise ValueError("trim_frequency needs a nonzero field")

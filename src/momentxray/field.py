@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -40,15 +41,15 @@ class Grid:
             raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "spacing", tuple(float(v) for v in self.spacing))
-        object.__setattr__(self, "counts", tuple(int(v) for v in self.counts))
+        object.__setattr__(self, "d", _integer(self.d, "d", 1))
+        object.__setattr__(self, "counts",
+                           tuple(_integer(v, "counts", 2) for v in self.counts))
         if not (len(self.origin) == len(self.spacing) == len(self.counts) == self.d):
             raise ValueError("origin, spacing, counts must all have length d")
         if not all(math.isfinite(h) and h > 0 for h in self.spacing):
             raise ValueError("spacing must be finite and strictly positive")
         if not all(map(math.isfinite, self.origin)):
             raise ValueError("origin must be finite")
-        if any(n < 2 for n in self.counts):
-            raise ValueError("counts must be >= 2 on every axis")
 
     @property
     def shape(self):
@@ -94,6 +95,22 @@ class Grid:
         return _lattice(self.axes())
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as a Python int, the one integer rule for every count, budget
+    and seed: Python and numpy integers pass; a bool, float, string, None
+    or any other object, and an integer below ``least`` when one is given,
+    raise ValueError naming ``name``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return number
+
+
 def _blocks(n: int):
     """Slices that cut n points into consecutive blocks of _BLOCK points.
 
@@ -115,9 +132,11 @@ def _lattice(axes) -> np.ndarray:
 
 def grid_from_box(d: int, side: str, lo, hi, counts) -> Grid:
     """Grid whose cells exactly tile the box [lo, hi] (nodes at cell centers)."""
+    d = _integer(d, "d", 1)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (d,))
-    counts = np.broadcast_to(np.asarray(counts, dtype=int), (d,))
+    counts = [_integer(n, "counts", 2)
+              for n in np.broadcast_to(np.asarray(counts, dtype=object), (d,))]
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("box bounds must be finite")
     if np.any(hi <= lo):

@@ -45,8 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import Infinity, conj_exponent, inv, triple_for_theta
-from .field import (Grid, SampledField, _blocks, _lattice, gamma_eval,
-                    lp_norm, mixed_norm)
+from .field import (Grid, SampledField, _blocks, _integer, _lattice,
+                    gamma_eval, lp_norm, mixed_norm)
 from .symmetry import (Scale, Shear, Symmetry, Translate, _pack,
                        _scale_diagonal, _scale_jacobians, inverse, map_source,
                        map_target, shear_matrix)
@@ -260,29 +260,10 @@ def dual_bbox(B: Paraball):
     return lo, hi
 
 
-def _integer(value, name: str) -> int:
-    """value as an int: an integer or numpy integer, not a bool."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return number
-
-
-def _sample_count(n, least: int) -> int:
-    """n as an int >= least (see _integer)."""
-    count = _integer(n, "n")
-    if count < least:
-        raise ValueError(f"n must be >= {least}, got {n!r}")
-    return count
-
-
 def sample_points(B: Paraball, n: int, rng, side: str = "primal") -> np.ndarray:
     """n points uniform on the primal or dual shadow (unit-box push-forward)."""
     _check_side(side)
-    u = rng.uniform(-1.0, 1.0, size=(_sample_count(n, 0), B.d))
+    u = rng.uniform(-1.0, 1.0, size=(_integer(n, "n", 0), B.d))
     sig = to_symmetry(B)
     return map_source(sig, u) if side == "primal" else map_target(sig, u)
 
@@ -640,16 +621,15 @@ def intersection_volume(Ba: Paraball, Bb: Paraball, n: int = 100_000,
 
     Samples the bounding box of the smaller paraball; resolution is limited
     by n, so disjoint-looking pairs can return exactly 0.  n and seed are
-    integers (numpy integers too; a bool, float, None or Generator raises
-    ValueError).  The draws that land in the smaller ball depend only on
-    (smaller ball, n, seed), so they are kept by _box_sample, which holds
-    one such sample (at most n d 8 bytes); repeated calls against one ball
-    only test the larger ball on them, and every estimate is that of a
-    fresh draw.
+    integers (see field._integer).  The draws that land in the smaller ball
+    depend only on (smaller ball, n, seed), so they are kept by _box_sample,
+    which holds one such sample (at most n d 8 bytes); repeated calls
+    against one ball only test the larger ball on them, and every estimate
+    is that of a fresh draw.
     """
     if Ba.d != Bb.d:
         raise ValueError("paraballs must share a dimension")
-    n = _sample_count(n, 1)
+    n = _integer(n, "n", 1)
     small, large = (Ba, Bb) if volume(Ba) <= volume(Bb) else (Bb, Ba)
     box_vol, inside = _box_sample(small, n, _integer(seed, "seed"))
     # membership is pointwise, so the larger ball sees only the hits
@@ -676,17 +656,6 @@ def quasi_ratio(f: SampledField, g: SampledField, theta,
 # fitting a paraball pair to a quasi-extremal pair
 
 
-def _restricted_pairing(f, g, B, f_mask_cache, plan):
-    key = (B.s0, B.t0, B.ybar, B.alpha, B.beta)
-    if key in f_mask_cache:
-        return f_mask_cache[key]
-    fB = f.with_values(f.values * membership(B, f.grid.nodes(), "primal"))
-    gB = g.with_values(g.values * membership(B, g.grid.nodes(), "dual"))
-    val = bilinear(fB, gB, plan)
-    f_mask_cache[key] = val
-    return val
-
-
 def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
                  starts: int = 4, seed: int = 0, eps: float = 1e-3) -> Paraball:
     """Localize a quasi-extremal pair on a paraball of controlled volume.
@@ -696,6 +665,7 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
     penalty so ties resolve toward the tightest paraball.  Deterministic for
     fixed (starts, seed); ties across starts go to the lowest start index.
     """
+    starts = _integer(starts, "starts", 1)
     ratio = quasi_ratio(f, g, theta, plan)
     if ratio < eps:
         raise ValueError(f"pair is not quasi-extremal at eps={eps}"
@@ -712,7 +682,7 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
     a0 = max(2.0 * sd[0], 1e-3)
     b0 = min(max(2.0 * sd[1] / a0, 0.05), 4.0)
 
-    cache = {}
+    pairings = {}  # X(f chi_B, g chi_B*) per paraball B
 
     def score(par):
         s0, t0, y, la, lb = par[0], par[1], par[2:d + 1], par[d + 1], par[d + 2]
@@ -720,12 +690,15 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
         vol = volume(B)
         if vol > budget:
             return -np.inf, B
-        val = _restricted_pairing(f, g, B, cache, plan)
-        return val * (1.0 - 0.02 * vol / budget), B
+        if B not in pairings:
+            fB = f.values * membership(B, f.grid.nodes(), "primal")
+            gB = g.values * membership(B, g.grid.nodes(), "dual")
+            pairings[B] = bilinear(f.with_values(fB), g.with_values(gB), plan)
+        return pairings[B] * (1.0 - 0.02 * vol / budget), B
 
     rng = np.random.default_rng(seed)
     best_key, best_B = -np.inf, None
-    for _ in range(int(starts)):
+    for _ in range(starts):
         fac = rng.uniform(0.6, 1.6, size=2)
         jit = rng.uniform(-0.3, 0.3, size=d + 1)
         a, b = a0 * fac[0], b0 * fac[1]

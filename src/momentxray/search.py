@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import Infinity, as_float, conj_exponent, triple_for_theta
-from .field import (SampledField, _lq, _slice_r_norms, grid_from_box, lp_norm,
-                    mixed_norm, write_field)
+from .field import (SampledField, _integer, _lq, _slice_r_norms,
+                    grid_from_box, lp_norm, mixed_norm, write_field)
 from .paraball import raster_primal, unit_paraball
 from .symmetry import normalize_symmetry, pullback_source
 from .xray import TransformPlan, apply_X, apply_X_star
@@ -52,10 +52,10 @@ class SearchConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be finite and >= 0, got {value!r}")
-        for name in ("max_iters", "renorm_every"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name, least in (("d", 3), ("counts", 2), ("max_iters", 0),
+                            ("renorm_every", 0), ("seed", 0)):
+            object.__setattr__(self, name,
+                               _integer(getattr(self, name), name, least))
 
     def exponents(self):
         trip = triple_for_theta(self.d, self.theta)

@@ -65,9 +65,19 @@ def _scale_diagonal(alpha, beta, d: int) -> np.ndarray:
 
 def _scale_jacobians(alpha, beta, d: int):
     """(alpha^d beta^k, alpha^(d-1) beta^k), k = d(d-1)/2: the Jacobians of
-    Scale(alpha, beta) on source points (s, x) and on target slices y."""
-    bk = beta ** (d * (d - 1) // 2)
-    return alpha ** d * bk, alpha ** (d - 1) * bk
+    Scale(alpha, beta) on source points (s, x) and on target slices y.  A
+    power that overflows or underflows to 0 sends both through logs, and a
+    Jacobian past the float range is +inf."""
+    k = d * (d - 1) // 2
+    try:
+        ad, ad1, bk = alpha ** d, alpha ** (d - 1), beta ** k
+        if ad and bk:  # ad1 is 0 only if ad is
+            return ad * bk, ad1 * bk
+    except OverflowError:
+        pass
+    logs = (m * math.log(alpha) + k * math.log(beta) for m in (d, d - 1))
+    top = math.log(np.finfo(float).max)  # exp is finite below it
+    return tuple(math.exp(x) if x < top else math.inf for x in logs)
 
 
 @dataclass(frozen=True)

@@ -73,12 +73,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .exponents import triple_for_theta
-from .field import Grid, SampledField, gamma_eval, lp_norm, mixed_norm
+from .field import (Grid, SampledField, _integer, gamma_eval, lp_norm,
+                    mixed_norm)
 
 
 def _usable_cores() -> int:
@@ -137,14 +137,11 @@ class TransformPlan:
             raise ValueError("target_grid must be target-side")
         if self.source_grid.d != self.target_grid.d:
             raise ValueError("plan grids must share the dimension d")
-        if self.s_quad == 0:
-            object.__setattr__(self, "s_quad", self.source_grid.counts[0])
-        if self.t_quad == 0:
-            object.__setattr__(self, "t_quad", self.target_grid.counts[0])
-        for n in (self.s_quad, self.t_quad):
-            if not isinstance(n, Integral) or n < 2:
-                raise ValueError(
-                    f"quadrature counts must be integers >= 2, got {n!r}")
+        # 0, the default, takes the grid's count along its first axis
+        for name, grid in (("s_quad", self.source_grid),
+                           ("t_quad", self.target_grid)):
+            n = _integer(getattr(self, name), name) or grid.counts[0]
+            object.__setattr__(self, name, _integer(n, name, 2))
 
     @property
     def d(self):

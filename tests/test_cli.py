@@ -234,6 +234,18 @@ class TestSymmetry:
                   "--step", "twist:1,2", "--p", "3/2", "--out", "o.field"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("step", ["scale:1,1e200", "scale:1e200,1"])
+    def test_pullback_past_the_float_range_is_one_error_line(
+            self, capsys, tmp_path, step):
+        write_cube(tmp_path / "cube.field")
+        code, out, err = run(capsys, ["symmetry", "--field", "cube.field",
+                                      "--step", step, "--p", "2",
+                                      "--out", "moved.field"])
+        assert code == 65
+        assert err.startswith("momentxray symmetry: error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "moved.field").exists()
+
 
 class TestParaball:
     def test_unit_ball_summary(self, capsys):
@@ -250,6 +262,27 @@ class TestParaball:
                                     "--point", "2,0,0"])
         assert code == 0
         assert line_value(out, "member") == "false"
+
+    def test_past_the_float_range_is_inf(self, capsys):
+        code, out, err = run(capsys, ["paraball", "--ball",
+                                      "0,0,0,0,1,1e200", "--theta", "5/6"])
+        assert code == 0 and err == ""
+        assert line_value(out, "volume") == "inf"
+        assert line_value(out, "dualNorm") == "inf"
+
+    def test_past_the_float_range_as_a_process(self, tmp_path):
+        # its own process, so that a traceback or warning shows on stderr
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       momentxray.__file__)))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentxray.cli", "paraball", "--ball",
+             "0,0,0,0,1,1e200", "--theta", "5/6"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "volume=inf\ndualNorm=inf\n"
 
     def test_raster_output(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["paraball", "--ball", UNIT_BALL,

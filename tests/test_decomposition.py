@@ -365,3 +365,18 @@ class TestTrim:
         f = positive_field("source", 4, 5)
         with pytest.raises(ValueError):
             trim_frequency(f, 0)
+
+    @pytest.mark.parametrize("W", [2.5, True, "8", np.float64(8)],
+                             ids=["float", "bool", "str", "numpy-float"])
+    def test_non_integer_width_rejected(self, W):
+        f = positive_field("source", 4, 5)
+        with pytest.raises(ValueError, match="W must be an integer"):
+            trim_frequency(f, W)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    def test_numpy_integer_width_accepted(self, kind):
+        f = positive_field("source", 8, 83, lo=0.05, hi=20.0)
+        want, j0 = trim_frequency(f, 2)
+        got, j1 = trim_frequency(f, kind(2))
+        assert j1 == j0
+        assert got.values.tobytes() == want.values.tobytes()

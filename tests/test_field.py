@@ -14,6 +14,7 @@ from momentxray.exponents import INF, as_float
 from momentxray.field import (
     _BLOCK,
     Grid,
+    _integer,
     MomentCurve,
     SampledField,
     gamma_eval,
@@ -643,6 +644,74 @@ class TestInterpolateColumns:
         keep = np.ones(len(pts), dtype=bool)
         keep[bad] = False
         assert got[keep].tobytes() == interpolate(f, pts[keep]).tobytes()
+
+
+# values that are not integers, as every count, budget and seed rejects them
+NON_INTEGERS = [2.5, True, "8", np.float64(8)]
+NON_INTEGER_IDS = ["float", "bool", "str", "numpy-float"]
+
+
+def _grid(d=3, counts=(4, 4, 4)):
+    return Grid(d=d, side="source", origin=(0.0,) * 3, spacing=(1.0,) * 3,
+                counts=counts)
+
+
+class TestIntegerRule:
+    """field._integer is the one integer rule: Python and numpy integers
+    pass as Python ints, and anything else raises ValueError naming the
+    parameter."""
+
+    @pytest.mark.parametrize("value", NON_INTEGERS + [None, np.True_],
+                             ids=NON_INTEGER_IDS + ["none", "numpy-bool"])
+    def test_rule_rejects(self, value):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            _integer(value, "k")
+
+    @pytest.mark.parametrize("value", [7, np.int32(7), np.int64(7),
+                                       np.uint8(7)])
+    def test_rule_accepts_integers_as_python_ints(self, value):
+        got = _integer(value, "k", 7)
+        assert got == 7 and type(got) is int
+
+    def test_rule_bound(self):
+        with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+            _integer(1, "k", 2)
+        assert _integer(-3, "k") == -3
+
+    @pytest.mark.parametrize("value", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_grid_dimension(self, value):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            _grid(d=value)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_grid_counts(self, value):
+        with pytest.raises(ValueError, match="counts must be an integer"):
+            _grid(counts=(4, value, 4))
+
+    @pytest.mark.parametrize("value", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_grid_from_box_counts(self, value):
+        with pytest.raises(ValueError, match="counts must be an integer"):
+            grid_from_box(3, "source", -1, 1, value)
+        with pytest.raises(ValueError, match="counts must be an integer"):
+            grid_from_box(3, "source", -1, 1, (8, value, 8))
+
+    def test_grid_counts_bound(self):
+        with pytest.raises(ValueError, match="counts must be >= 2"):
+            _grid(counts=(4, 1, 4))
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            Grid(d=0, side="source", origin=(), spacing=(), counts=())
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    def test_numpy_integers_accepted(self, kind):
+        want = _grid()
+        got = _grid(d=kind(3), counts=(kind(4),) * 3)
+        assert got == want
+        assert all(type(v) is int for v in (got.d,) + got.counts)
+        box = grid_from_box(3, "source", -1, 1, 8)
+        for counts in (kind(8), [kind(8)] * 3, np.full(3, 8, dtype=kind)):
+            got = grid_from_box(kind(3), "source", -1, 1, counts)
+            assert got == box
+            assert all(type(v) is int for v in (got.d,) + got.counts)
 
 
 class TestGridFromBoxBounds:

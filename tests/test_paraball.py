@@ -303,6 +303,32 @@ class TestScaleAlgebra:
             assert mock_distance(A, B).hex() == want.hex()
 
 
+class TestPastTheFloatRange:
+    """A valid paraball whose Scale powers leave the float range: volume and
+    dual_mixed_norm answer +inf, and a finite Jacobian reached through a
+    power that overflows or underflows to 0 comes from logs."""
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1e200), (1e200, 1.0),
+                                             (1e300, 1e300)])
+    def test_infinite(self, alpha, beta):
+        B = Paraball(0.0, 0.0, (0.0, 0.0), alpha, beta)
+        assert volume(B) == math.inf
+        assert dual_mixed_norm(B, THETA) == math.inf
+
+    def test_finite_product_of_an_underflowing_power(self):
+        B = Paraball(0.0, 0.0, (0.0, 0.0), 1e-120, 1e100)
+        assert volume(B) == pytest.approx(8e-60, rel=1e-12)
+
+    def test_finite_product_of_overflowing_powers(self):
+        B = Paraball(0.0, 0.0, (0.0, 0.0), 1e200, 1e-200)
+        assert volume(B) == pytest.approx(8.0, rel=1e-12)
+        trip = triple_for_theta(D, THETA)
+        iqc, irc = float(1 - inv(trip.q)), float(1 - inv(trip.r))
+        log_section = math.log(4.0) + 2 * math.log(1e200) + 3 * math.log(1e-200)
+        want = math.exp(iqc * math.log(2e-200) + irc * log_section)
+        assert dual_mixed_norm(B, THETA) == pytest.approx(want, rel=1e-12)
+
+
 class TestDualMixedNorm:
     def test_unit_value(self):
         assert dual_mixed_norm(unit_paraball(D), THETA) == pytest.approx(
@@ -1192,6 +1218,25 @@ class TestFitParaball:
             np.abs(f.values).max())
         fit = fit_paraball(f, g, THETA, plan, starts=2, seed=0)
         assert volume(fit) <= budget * (1 + 1e-12)
+
+    @pytest.mark.parametrize("starts", [2.5, True, "8", np.float64(8)],
+                             ids=["float", "bool", "str", "numpy-float"])
+    def test_non_integer_starts_rejected(self, starts):
+        f, g, plan = _unit_pair(16)
+        with pytest.raises(ValueError, match="starts must be an integer"):
+            fit_paraball(f, g, THETA, plan, starts=starts)
+
+    def test_no_starts_rejected(self):
+        f, g, plan = _unit_pair(16)
+        with pytest.raises(ValueError, match="starts must be >= 1"):
+            fit_paraball(f, g, THETA, plan, starts=0)
+
+    def test_numpy_integer_starts_accepted(self):
+        f, g, plan = _unit_pair(16)
+        want = fit_paraball(f, g, THETA, plan, starts=1, seed=3)
+        for kind in (np.int32, np.int64):
+            assert fit_paraball(f, g, THETA, plan, starts=kind(1),
+                                seed=3) == want
 
     def test_objective_nondecreasing_in_starts(self):
         f, g, plan = _unit_pair(16)

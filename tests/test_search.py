@@ -354,6 +354,41 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             cfg.plan()
 
+    INTEGERS = ("d", "counts", "max_iters", "renorm_every", "seed")
+
+    @pytest.mark.parametrize("value", [2.5, True, "8", np.float64(8)],
+                             ids=["float", "bool", "str", "numpy-float"])
+    @pytest.mark.parametrize("name", INTEGERS)
+    def test_non_integers_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SearchConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, least", [("d", 3), ("counts", 2),
+                                             ("seed", 0)])
+    def test_integer_bounds(self, name, least):
+        with pytest.raises(ValueError, match=f"{name} must be >= {least}"):
+            SearchConfig(**{name: least - 1})
+        assert getattr(SearchConfig(**{name: least}), name) == least
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    def test_numpy_integers_become_ints(self, kind):
+        given = dict(d=4, counts=10, max_iters=3, renorm_every=2, seed=9)
+        cfg = SearchConfig(**{k: kind(v) for k, v in given.items()})
+        assert cfg == SearchConfig(**given)
+        assert all(type(getattr(cfg, k)) is int for k in self.INTEGERS)
+
+    def test_numpy_integer_run_writes_the_same_bytes(self, tmp_path):
+        given = dict(counts=8, max_iters=4, renorm_every=2, seed=3)
+
+        def written(kind, out):
+            cfg = SearchConfig(**{k: kind(v) for k, v in given.items()},
+                               out_dir=str(tmp_path / out))
+            run_search(cfg)
+            return [Path(cfg.out_dir, name).read_bytes()
+                    for name in TestSharedPlan.OUTPUTS]
+
+        assert written(np.int64, "numpy") == written(int, "python")
+
 
 def _no_positive_part(g, plan):
     grid = plan.source_grid

@@ -831,3 +831,20 @@ class TestPlanValidation:
         tg = box_grid("target", -1, 1, 8)
         with pytest.raises(ValueError):
             TransformPlan(sg, tg, 1, 8)
+
+    @pytest.mark.parametrize("value", [2.5, True, "8", np.float64(8)],
+                             ids=["float", "bool", "str", "numpy-float"])
+    @pytest.mark.parametrize("name", ["s_quad", "t_quad"])
+    def test_non_integer_quad_rejected(self, name, value):
+        sg = box_grid("source", -1, 1, 8)
+        tg = box_grid("target", -1, 1, 8)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TransformPlan(sg, tg, **{name: value})
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    def test_numpy_integer_quad_matches_int(self, kind):
+        sg = box_grid("source", -1, 1, 8)
+        tg = box_grid("target", -1, 1, 8)
+        plan = TransformPlan(sg, tg, kind(5), kind(0))
+        assert plan == TransformPlan(sg, tg, 5, 8)
+        assert type(plan.s_quad) is int and type(plan.t_quad) is int
