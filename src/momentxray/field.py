@@ -22,7 +22,9 @@ from .exponents import as_float
 
 _SIDES = ("source", "target")
 
-# points per block of a point-wise pipeline; see _blocks
+# points per block of every point-wise pipeline (see _blocks): Cover.contains,
+# membership, intersection_volume, interpolate, and through _node_blocks the
+# passes over a grid's nodes (pullbacks, rasters, truncate, the r95 radii)
 _BLOCK = 4096
 
 
@@ -114,15 +116,34 @@ def _integer(value, name: str, least: int | None = None) -> int:
 def _blocks(n: int):
     """Slices that cut n points into consecutive blocks of _BLOCK points.
 
-    Block rule: a point-wise pipeline (Cover.contains, array membership,
-    intersection_volume, interpolate) runs its whole chain of numpy passes
+    Block rule: a point-wise pipeline runs its whole chain of numpy passes
     on one block before it starts the next, so the temporaries of a block
     stay in cache instead of streaming arrays of every point through
-    memory.  Each point gets the same float operations in the same layout
-    as in one full-array pass, so results do not depend on the block size.
-    _BLOCK is a constant measured once, not an option.
+    memory, and its memory grows with its output, not with the points it
+    maps.  The pipelines: Cover.contains, membership, intersection_volume
+    and interpolate over given points, and over a grid's nodes (see
+    _node_blocks) the source and target pullbacks, raster_primal and
+    raster_dual (with fit_paraball's memberships), truncate and the radii
+    of search's localisation profile.  Each point gets the same float
+    operations in the same layout as in one full-array pass, so results do
+    not depend on the block size.  _BLOCK is a constant measured once, not
+    an option.
     """
     return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
+
+
+def _node_blocks(grid: Grid):
+    """Yield (slice, nodes) over grid's nodes in consecutive C-order blocks.
+
+    The slice runs over the flat C-order node index, and nodes is a
+    C-contiguous (len, d) array of those nodes, read off the grid axes: the
+    rows of Grid.nodes().reshape(-1, d) in the slice, to the byte, without
+    building the whole lattice (see _blocks).
+    """
+    axes = grid.axes()
+    for blk in _blocks(math.prod(grid.counts)):
+        index = np.unravel_index(np.arange(blk.start, blk.stop), grid.counts)
+        yield blk, np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
 
 
 def _lattice(axes) -> np.ndarray:
@@ -330,58 +351,79 @@ def truncate(F: SampledField, R: float) -> SampledField:
     """Zero out nodes with |z| >= R or |F(z)| >= R (both cutoffs strict)."""
     if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
-    nodes = F.grid.nodes()
-    radius2 = (nodes ** 2).sum(axis=-1)
-    keep = (radius2 < R * R) & (np.abs(F.values) < R)
+    radius2 = np.empty(F.values.size)
+    for blk, nodes in _node_blocks(F.grid):
+        radius2[blk] = (nodes ** 2).sum(axis=-1)
+    keep = (radius2.reshape(F.grid.shape) < R * R) & (np.abs(F.values) < R)
     return F.with_values(np.where(keep, F.values, 0.0))
 
 
-def interpolate(f: SampledField, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of f at arbitrary points, zero outside.
+def _interpolator(f: SampledField):
+    """Multilinear evaluator of f, zero outside: a function from a (B, d)
+    block of points to their B values.
 
-    ``points`` has shape S + (d,); the result has shape S.  Border rule: the
-    values get one zero node on every side, so each corner is one gather with
-    no bounds check and values decay linearly to zero within one cell beyond
-    the boundary nodes.  Points whose cell misses the grid give 0, and so do
-    points with a NaN or infinite coordinate, without a warning.  The points
-    run in _blocks, one coordinate column at a time.
+    Border rule: f's values are padded once with one zero node on every
+    side, so each corner is one gather with no bounds check and values
+    decay linearly to zero within one cell beyond the boundary nodes.
+    Corner c takes bit k of c on axis k; it gathers through a view of the
+    flat padded values that starts at the corner's offset, and its weight
+    is the product, in axis order, of the axes' weights, built from the
+    products shared by the corners with the same lower bits.  Points whose
+    cell misses the grid give 0, and so do points with a NaN or infinite
+    coordinate, without a warning.  The points are read one coordinate
+    column at a time.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != f.d:
-        raise ValueError(f"points must have last dimension {f.d}")
-    flat = pts.reshape(-1, f.d)
-    counts = f.grid.counts
-    padded = np.pad(f.values, 1).ravel()
-    shape = tuple(n + 2 for n in counts)
-    corners = [[(corner >> k) & 1 for k in range(f.d)]
-               for corner in range(1 << f.d)]
-    offsets = [np.ravel_multi_index(bits, shape) for bits in corners]
+    d, counts = f.d, f.grid.counts
+    padded = np.pad(f.values, 1)
+    flat = padded.reshape(-1)
+    views = [flat[np.ravel_multi_index([(c >> k) & 1 for k in range(d)],
+                                       padded.shape):]
+             for c in range(1 << d)]
     # a coordinate beyond one cell past the box on either side, NaN or
     # infinite lies in no cell: its point gives 0 and never reaches locate,
     # whose division a far point on a fine grid would overflow
     reach = [(o - 2.0 * h, o + (n + 1.0) * h)
              for o, h, n in zip(f.grid.origin, f.grid.spacing, counts)]
-    out = np.empty(len(flat))
-    for blk in _blocks(len(flat)):
-        cells, weights, live = [], [], True
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        cells, weights, live = [], [1.0], True
         for k, n in enumerate(counts):
-            x = flat[blk, k]
+            x = points[:, k]
             near = (x >= reach[k][0]) & (x <= reach[k][1])
             if not near.all():
                 x = np.where(near, x, f.grid.origin[k])
                 live = live & near
             base, frac = f.grid.locate(x, k)
-            cells.append(np.clip(base + 1, 0, n))
-            weights.append((1.0 - frac, frac))
+            cells.append(np.minimum(np.maximum(base + 1, 0), n))
+            low = 1.0 - frac
+            weights = [w * low for w in weights] + [w * frac for w in weights]
             live = live & (base >= -1) & (base < n)
-        start = np.ravel_multi_index(cells, shape)
+        start = np.ravel_multi_index(cells, padded.shape)
         acc = np.zeros(len(start))
-        for bits, offset in zip(corners, offsets):
-            w = np.ones(len(start))
-            for k, bit in enumerate(bits):
-                w *= weights[k][bit]
-            acc += w * padded[start + offset]
-        out[blk] = np.where(live, acc, 0.0)
+        for w, view in zip(weights, views):
+            acc += w * view[start]
+        return np.where(live, acc, 0.0)
+
+    return evaluate
+
+
+def interpolate(f: SampledField, points: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of f at arbitrary points, zero outside.
+
+    ``points`` has shape S + (d,); the result has shape S.  The points run
+    in _blocks through one _interpolator of f, which sets the border rule:
+    values decay linearly to zero within one cell beyond the boundary
+    nodes, and points whose cell misses the grid, or with a NaN or infinite
+    coordinate, give 0 without a warning.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1] != f.d:
+        raise ValueError(f"points must have last dimension {f.d}")
+    flat = pts.reshape(-1, f.d)
+    evaluate = _interpolator(f)
+    out = np.empty(len(flat))
+    for blk in _blocks(len(flat)):
+        out[blk] = evaluate(flat[blk])
     return out.reshape(pts.shape[:-1])
 
 

@@ -21,10 +21,11 @@ tests the larger one (see _box_sample; one entry of at most n d 8 bytes).
 Band tests take one band column at a time, with the same float
 operations in the same order as the stacked form (see _band_columns).  Point
 queries (membership, Cover.contains, intersection_volume) run in
-field._blocks, one coordinate column at a time: the unit-frame maps return
-contiguous coordinates (see symmetry's column rule), and _band_columns'
-v = x - ybar - s gamma(t0), the lattice index of _Net.query and
-intersection_volume's box scaling are built per coordinate.  Each element
+field._blocks, and rasters over field._node_blocks, one coordinate column
+at a time: the unit-frame maps return contiguous coordinates (see
+symmetry's column rule), and _band_columns' v = x - ybar - s gamma(t0),
+the lattice index of _Net.query and intersection_volume's box scaling are
+built per coordinate.  Each element
 gets the float operations of the per-point form, so the outputs are those
 of the row layout to the byte.  gamma's first component is t itself, which
 is exact because numpy's array power is exact at exponent 1; its higher
@@ -46,7 +47,7 @@ import numpy as np
 
 from .exponents import Infinity, conj_exponent, inv, triple_for_theta
 from .field import (Grid, SampledField, _blocks, _integer, _lattice,
-                    gamma_eval, lp_norm, mixed_norm)
+                    _node_blocks, gamma_eval, lp_norm, mixed_norm)
 from .symmetry import (Scale, Shear, Symmetry, Translate, _pack,
                        _scale_diagonal, _scale_jacobians, inverse, map_source,
                        map_target, shear_matrix)
@@ -268,16 +269,25 @@ def sample_points(B: Paraball, n: int, rng, side: str = "primal") -> np.ndarray:
     return map_source(sig, u) if side == "primal" else map_target(sig, u)
 
 
+def _node_membership(B: Paraball, grid: Grid, side: str) -> np.ndarray:
+    """membership of grid's nodes, shape grid.shape, in _node_blocks."""
+    ok = np.empty(grid.shape, dtype=bool)
+    flat = ok.reshape(-1)
+    for blk, nodes in _node_blocks(grid):
+        flat[blk] = membership(B, nodes, side)
+    return ok
+
+
 def raster_primal(B: Paraball, grid: Grid) -> SampledField:
     if grid.side != "source":
         raise ValueError("primal raster needs a source grid")
-    return SampledField(grid, membership(B, grid.nodes(), "primal").astype(float))
+    return SampledField(grid, _node_membership(B, grid, "primal").astype(float))
 
 
 def raster_dual(B: Paraball, grid: Grid) -> SampledField:
     if grid.side != "target":
         raise ValueError("dual raster needs a target grid")
-    return SampledField(grid, membership(B, grid.nodes(), "dual").astype(float))
+    return SampledField(grid, _node_membership(B, grid, "dual").astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +356,9 @@ class _Net:
             q = q[:, None]
         flat = np.zeros(q.shape[0], dtype=np.int64)
         for a in range(self.k):
-            col = np.rint((np.clip(q[:, a], -1.0, 1.0) + 1.0) * self.M)
-            idx = np.clip(col.astype(np.int64), 0, 2 * self.M)
+            col = np.rint((np.minimum(np.maximum(q[:, a], -1.0), 1.0) + 1.0)
+                          * self.M)
+            idx = np.minimum(np.maximum(col.astype(np.int64), 0), 2 * self.M)
             flat = flat * (2 * self.M + 1) + idx
         return self._nearest[flat]
 
@@ -541,13 +552,14 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
 def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
     """Nine-term quasi-distance; equals 5 when the paraballs coincide.
 
-    A term past the float range makes it +inf, in either argument order
-    and without a warning: a far t0, or a volume that underflows to 0.  So
-    coinciding paraballs with |t0| past about 1e154 (1e102 at d = 4), where
-    gamma(t0) overflows, are at distance +inf, not 5.
+    Coinciding paraballs give 5 before any term is formed.  Otherwise a
+    term past the float range makes it +inf, in either argument order and
+    without a warning: a far t0, or a volume that underflows to 0.
     """
     if Ba.d != Bb.d:
         raise ValueError("paraballs must share a dimension")
+    if Ba == Bb:
+        return 5.0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             total = _mock_terms(Ba, Bb, Ba.d)
@@ -691,8 +703,8 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
         if vol > budget:
             return -np.inf, B
         if B not in pairings:
-            fB = f.values * membership(B, f.grid.nodes(), "primal")
-            gB = g.values * membership(B, g.grid.nodes(), "dual")
+            fB = f.values * _node_membership(B, f.grid, "primal")
+            gB = g.values * _node_membership(B, g.grid, "dual")
             pairings[B] = bilinear(f.with_values(fB), g.with_values(gB), plan)
         return pairings[B] * (1.0 - 0.02 * vol / budget), B
 

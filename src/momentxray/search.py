@@ -21,8 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import Infinity, as_float, conj_exponent, triple_for_theta
-from .field import (SampledField, _integer, _lq, _slice_r_norms,
-                    grid_from_box, lp_norm, mixed_norm, write_field)
+from .field import (SampledField, _integer, _lq, _node_blocks,
+                    _slice_r_norms, grid_from_box, lp_norm, mixed_norm,
+                    write_field)
 from .paraball import raster_primal, unit_paraball
 from .symmetry import normalize_symmetry, pullback_source
 from .xray import TransformPlan, apply_X, apply_X_star
@@ -235,7 +236,9 @@ def _normalized_profile(f: SampledField, p):
     tot = w.sum()
     if tot == 0:
         raise ValueError("localization needs a nonzero field")
-    radii = np.linalg.norm(fn.grid.nodes().reshape(-1, fn.d), axis=1)
+    radii = np.empty(av.size)
+    for blk, nodes in _node_blocks(fn.grid):
+        radii[blk] = np.linalg.norm(nodes, axis=1)
     n = lp_norm(fn, p)
     key = np.maximum(radii, av / n)
     return key, w / tot

@@ -21,7 +21,9 @@ the per-point form, so the bytes do not depend on the layout.  A map's
 result, shape S + (d,), is a view of those rows: each coordinate [..., k]
 is contiguous, which the point queries downstream read column by column.
 Scale's powers and Jacobians are computed only by ``_scale_diagonal`` and
-``_scale_jacobians``, for the maps, pullbacks and paraball geometry alike.
+``_scale_jacobians``, for the maps, pullbacks and paraball geometry alike;
+``_jacobian_power`` takes a pullback's power of them, through logs when a
+Jacobian leaves the float range.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (Grid, SampledField, _lattice, _moments, gamma_eval,
-                    grid_from_box, interpolate)
+from .field import (Grid, SampledField, _interpolator, _lattice, _moments,
+                    _node_blocks, gamma_eval, grid_from_box)
 from .exponents import as_float
 
 
@@ -76,8 +78,15 @@ def _scale_jacobians(alpha, beta, d: int):
     except OverflowError:
         pass
     logs = (m * math.log(alpha) + k * math.log(beta) for m in (d, d - 1))
-    top = math.log(np.finfo(float).max)  # exp is finite below it
-    return tuple(math.exp(x) if x < top else math.inf for x in logs)
+    return tuple(_exp(x) for x in logs)
+
+
+_LOG_TOP = math.log(np.finfo(float).max)  # exp is finite below it
+
+
+def _exp(x: float) -> float:
+    """e^x, +inf past the float range."""
+    return math.exp(x) if x < _LOG_TOP else math.inf
 
 
 @dataclass(frozen=True)
@@ -251,31 +260,71 @@ def _preimage_grid(sigma: Symmetry, grid: Grid, target_side: bool) -> Grid:
                          grid.counts)
 
 
+def _jacobian_power(sigma: Symmetry, factors) -> float:
+    """The product of J ** e over factors (J, e, m, k), J being the product
+    over sigma's Scale steps of alpha^m beta^k.
+
+    While every J is finite and nonzero, this is the float product of the
+    float powers.  A J past the float range (inf, or 0 after underflow)
+    sends the whole product through logs, as _scale_jacobians does, so a
+    power that is a float is kept, and one past the float range is +inf.
+    """
+    if all(0 < J < math.inf for J, *_ in factors):
+        return math.prod(J ** e for J, e, _, _ in factors)
+    return _exp(sum(e * (m * math.log(st.alpha) + k * math.log(st.beta))
+                    for _, e, m, k in factors
+                    for st in sigma.steps if isinstance(st, Scale)))
+
+
+def _pullback(sigma: Symmetry, f: SampledField, out_grid: Grid | None,
+              target_side: bool, factors) -> SampledField:
+    """Both pullbacks' body: _jacobian_power(sigma, factors) times f at
+    the images of the nodes of out_grid, or of the preimage grid of f's box.
+
+    The nodes run in _node_blocks: each block is mapped with map_target or
+    map_source and evaluated by one interpolator of f, which pads f once,
+    before the next block starts.
+    """
+    grid = out_grid or _preimage_grid(sigma, f.grid, target_side)
+    point_map = map_target if target_side else map_source
+    evaluate = _interpolator(f)
+    values = np.empty(grid.shape)
+    out = values.reshape(-1)
+    for blk, nodes in _node_blocks(grid):
+        out[blk] = evaluate(point_map(sigma, nodes))
+    del evaluate  # frees the padded copy of f before SampledField copies
+    values *= _jacobian_power(sigma, factors)
+    return SampledField(grid=grid, values=values)
+
+
 def pullback_source(sigma: Symmetry, f: SampledField, p,
                     out_grid: Grid | None = None) -> SampledField:
     """(phi^* f)(z) = J_phi^{1/p} f(phi(z)), resampled on a uniform grid.
 
     The new grid is the bounding box of the phi-preimage of f's box, with
-    f's counts, unless ``out_grid`` is given.
+    f's counts, unless ``out_grid`` is given.  The nodes run in blocks (see
+    _pullback), and a Jacobian past the float range still gives its 1/p
+    power when that is a float (see _jacobian_power).
     """
     if not sigma.steps and out_grid is None:
         return f
-    grid = out_grid or _preimage_grid(sigma, f.grid, target_side=False)
-    pts = map_source(sigma, grid.nodes())
-    jac = source_jacobian(sigma, f.d) ** (1.0 / as_float(p))
-    return SampledField(grid=grid, values=jac * interpolate(f, pts))
+    d = f.d
+    return _pullback(sigma, f, out_grid, False,
+                     [(source_jacobian(sigma, d), 1.0 / as_float(p),
+                       d, d * (d - 1) // 2)])
 
 
 def pullback_target(sigma: Symmetry, g: SampledField, q, r,
                     out_grid: Grid | None = None) -> SampledField:
-    """(psi^* g)(t, y) = psi_1'^{1/q'} J_psi'^{1/r'} g(psi(t, y))."""
+    """(psi^* g)(t, y) = psi_1'^{1/q'} J_psi'^{1/r'} g(psi(t, y)), resampled
+    as pullback_source resamples."""
     if not sigma.steps and out_grid is None:
         return g
-    grid = out_grid or _preimage_grid(sigma, g.grid, target_side=True)
-    pts = map_target(sigma, grid.nodes())
-    dt_fac, jy = target_factors(sigma, g.d)
-    const = dt_fac ** _conj_inv(q) * jy ** _conj_inv(r)
-    return SampledField(grid=grid, values=const * interpolate(g, pts))
+    d = g.d
+    dt_fac, jy = target_factors(sigma, d)
+    return _pullback(sigma, g, out_grid, True,
+                     [(dt_fac, _conj_inv(q), 0, 1),
+                      (jy, _conj_inv(r), d - 1, d * (d - 1) // 2)])
 
 
 def _weighted_iqr(values: np.ndarray, weights: np.ndarray) -> float:

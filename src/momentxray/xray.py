@@ -195,8 +195,8 @@ def _taps(in_grid: Grid, out_grid: Grid, m: int, shifts: np.ndarray,
         fr = np.broadcast_to(fr, lo.shape)
     else:
         lo, fr = in_grid.locate(out_grid.axis_nodes(m)[k] + shifts, m)
-    return (np.clip(lo + 1, 0, n_in + 1), np.clip(lo + 2, 0, n_in + 1),
-            1.0 - fr, fr)
+    return (np.minimum(np.maximum(lo + 1, 0), n_in + 1),
+            np.minimum(np.maximum(lo + 2, 0), n_in + 1), 1.0 - fr, fr)
 
 
 def _live_levels(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):

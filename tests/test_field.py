@@ -15,6 +15,7 @@ from momentxray.field import (
     _BLOCK,
     Grid,
     _integer,
+    _node_blocks,
     MomentCurve,
     SampledField,
     gamma_eval,
@@ -434,6 +435,19 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(self._bump(), 0.0)
 
+    @pytest.mark.parametrize("d, counts", [(3, 16), (3, (17, 23, 19)),
+                                           (4, (9, 11, 7, 13))])
+    def test_same_bytes_as_full_lattice(self, d, counts):
+        rng = np.random.default_rng(130 + d)
+        g = grid_from_box(d, "source", -2.0, 2.0, counts)
+        F = SampledField(g, rng.normal(size=g.shape))
+        for R in (0.7, 1.5, 2.5):
+            # truncate as one pass over the full node lattice
+            radius2 = (g.nodes() ** 2).sum(axis=-1)
+            keep = (radius2 < R * R) & (np.abs(F.values) < R)
+            want = np.where(keep, F.values, 0.0)
+            assert truncate(F, R).values.tobytes() == want.tobytes()
+
 
 class TestInterpolate:
     def test_exact_at_nodes(self):
@@ -612,6 +626,23 @@ class TestInterpolateBlocks:
             want = _unblocked_interpolate(f, shaped)
             assert got.shape == want.shape == shaped.shape[:-1]
             assert got.tobytes() == want.tobytes()
+
+
+class TestNodeBlocks:
+    """_node_blocks walks Grid.nodes() in C order, block by block."""
+
+    @pytest.mark.parametrize("d, counts", [
+        (3, (2, 2, 2)), (3, 16), (3, (17, 23, 19)), (4, (9, 11, 7, 13))])
+    def test_blocks_are_the_lattice_rows(self, d, counts):
+        g = grid_from_box(d, "source", -1.5, 2.5, counts)
+        rows = g.nodes().reshape(-1, d)
+        start = 0
+        for blk, nodes in _node_blocks(g):
+            assert blk.start == start and blk.stop - blk.start <= _BLOCK
+            assert nodes.flags.c_contiguous
+            assert nodes.tobytes() == rows[blk].tobytes()
+            start = blk.stop
+        assert start == len(rows)
 
 
 class TestInterpolateColumns:

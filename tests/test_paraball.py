@@ -702,6 +702,19 @@ class TestMockDistance:
         with pytest.raises(ValueError):
             mock_distance(a, b)
 
+    @pytest.mark.parametrize("B", [
+        Paraball(0.3, 1e200, (0.0, 0.0), 1.0, 1.0),
+        Paraball(0.3, 1e120, (0.0, 0.0, 0.0), 1.0, 1.0),
+        Paraball(0.0, 0.0, (0.0, 0.0), 1e300, 1.0),
+    ], ids=["t0-d3", "t0-d4", "alpha"])
+    def test_far_paraball_is_at_five_from_itself(self, B):
+        # gamma(t0) and the volume overflow; equal paraballs are at 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mock_distance(B, B) == 5.0
+            assert mock_distance(B, Paraball(B.s0, B.t0, B.ybar, B.alpha,
+                                             B.beta)) == 5.0
+
     @pytest.mark.parametrize("far", [
         Paraball(0.0, 1e200, (0.0, 0.0), 1.0, 1.0),
         Paraball(0.0, 1e200, (0.0, 0.0, 0.0), 1.0, 1.0),
@@ -1250,3 +1263,20 @@ class TestFitParaball:
         one = key(fit_paraball(f, g, THETA, plan, starts=1, seed=5))
         more = key(fit_paraball(f, g, THETA, plan, starts=3, seed=5))
         assert more >= one - 1e-9
+
+
+class TestNodeBlocks:
+    """Rasters over node blocks give the bytes of the full-lattice pass."""
+
+    @pytest.mark.parametrize("d, counts", [
+        (3, 16), (3, (17, 23, 19)), (4, 12), (4, (9, 11, 7, 13))],
+        ids=["d3-one-block", "d3-ragged", "d4", "d4-ragged"])
+    def test_rasters_match_full_lattice(self, d, counts):
+        B = Paraball(0.2, -0.3, tuple(np.linspace(0.1, 0.4, d - 1)), 0.9, 1.3)
+        for raster, side, grid_side in ((raster_primal, "primal", "source"),
+                                        (raster_dual, "dual", "target")):
+            grid = grid_from_box(d, grid_side, -2.0, 2.0, counts)
+            want = membership(B, grid.nodes(), side).astype(float)
+            got = raster(B, grid).values
+            assert got.tobytes() == want.tobytes()
+            assert 0 < got.sum() < got.size

@@ -1,6 +1,7 @@
 """Extremizer search: dual multipliers, power ascent, and localization."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,10 +10,13 @@ import numpy as np
 import pytest
 
 from momentxray.exponents import INF
-from momentxray.field import SampledField, lp_norm, mixed_norm, read_field
+from momentxray.field import (SampledField, grid_from_box, lp_norm, mixed_norm,
+                              read_field)
 from momentxray.search import (
     PHI_SLACK,
     SearchConfig,
+    _normal_form,
+    _normalized_profile,
     SearchState,
     ascent_step,
     dual_map,
@@ -421,3 +425,37 @@ class TestLocalization:
         g = box_grid("source", -1, 1, 4)
         with pytest.raises(ValueError):
             r95_radius(SampledField(g, np.zeros((4, 4, 4))), 2)
+
+    @staticmethod
+    def _skewed(d, counts, seed):
+        g = grid_from_box(d, "source", -2.5, 2.5, counts)
+        z = g.nodes()
+        rng = np.random.default_rng(seed)
+        vals = np.exp(-((z - 0.3) ** 2 * rng.uniform(1, 3, d)).sum(axis=-1))
+        return SampledField(g, vals * (1.0 + 0.1 * rng.random(g.shape)))
+
+    @pytest.mark.parametrize("d, counts", [(3, (17, 23, 19)), (4, 12),
+                                           (4, (9, 11, 7, 13))])
+    def test_profile_same_bytes_as_full_lattice(self, d, counts):
+        f = self._skewed(d, counts, 40 + d)
+        key, w = _normalized_profile(f, Fraction(3, 2))
+        # the profile with its radii from the full node lattice
+        fn = _normal_form(f, Fraction(3, 2))
+        av = np.abs(fn.values).ravel()
+        want_w = av ** 1.5 * fn.grid.cell_volume
+        radii = np.linalg.norm(fn.grid.nodes().reshape(-1, d), axis=1)
+        want_key = np.maximum(radii, av / lp_norm(fn, Fraction(3, 2)))
+        assert key.tobytes() == want_key.tobytes()
+        assert w.tobytes() == (want_w / want_w.sum()).tobytes()
+
+    def test_r95_traced_peak_at_d4(self):
+        # measured 3.1 MB; the full node lattice took 6.5 MB
+        f = self._skewed(4, 16, 48)
+        r95_radius(f, Fraction(8, 5))
+        tracemalloc.start()
+        try:
+            r95_radius(f, Fraction(8, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * 2 ** 20

@@ -1,13 +1,15 @@
 """Symmetry group generators, pullbacks, and the normal-form recentering."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from momentxray.exponents import INF
-from momentxray.field import SampledField, gamma_eval, grid_from_box, lp_norm
+from momentxray.field import (SampledField, gamma_eval, grid_from_box,
+                              interpolate, lp_norm)
 from momentxray.symmetry import (
     Scale,
     Shear,
@@ -25,6 +27,7 @@ from momentxray.symmetry import (
     source_jacobian,
     target_factors,
 )
+from momentxray.symmetry import _conj_inv, _preimage_grid
 
 from conftest import box_grid, drift_fields
 
@@ -444,3 +447,125 @@ class TestColumnLayout:
         got = map_target(sigma, (0.5, (0.25, -1.0)))
         want = _row_map(sigma, [0.5, 0.25, -1.0], True)
         assert got.tobytes() == want.tobytes()
+
+
+def _full_lattice_pullback(sigma, f, exps, out_grid=None):
+    """A pullback as one pass over the full node lattice, before the nodes
+    ran in blocks: exps is (p,) on the source side, (q, r) on the target."""
+    target_side = f.side == "target"
+    grid = out_grid or _preimage_grid(sigma, f.grid, target_side)
+    if target_side:
+        pts = map_target(sigma, grid.nodes())
+        dt_fac, jy = target_factors(sigma, f.d)
+        const = dt_fac ** _conj_inv(exps[0]) * jy ** _conj_inv(exps[1])
+    else:
+        pts = map_source(sigma, grid.nodes())
+        const = source_jacobian(sigma, f.d) ** (1.0 / float(exps[0]))
+    return SampledField(grid=grid, values=const * interpolate(f, pts))
+
+
+def _pull(sigma, f, exps, out_grid=None):
+    fn = pullback_target if f.side == "target" else pullback_source
+    return fn(sigma, f, *exps, out_grid=out_grid)
+
+
+def _bump_field(rng, side, d, counts):
+    grid = grid_from_box(d, side, -2.0, 2.0, counts)
+    z = grid.nodes()
+    c = rng.uniform(-0.5, 0.5, d)
+    vals = np.exp(-2.0 * ((z - c) ** 2).sum(axis=-1))
+    return SampledField(grid, vals * (1.0 + 0.1 * rng.random(grid.shape)))
+
+
+class TestBlockedPullbacks:
+    """Pullbacks over node blocks give the bytes of the full-lattice pass."""
+
+    EXPS = {"source": (Fraction(3, 2),), "target": (Fraction(5, 2), 3)}
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("d, counts", [
+        (3, 16), (3, (17, 23, 19)), (4, 12), (4, (9, 11, 7, 13))],
+        ids=["d3-one-block", "d3-ragged", "d4", "d4-ragged"])
+    def test_same_bytes_as_full_lattice(self, side, d, counts):
+        # 16^3 nodes fill one block exactly; the others end in a part block
+        rng = np.random.default_rng(500 + d)
+        f = _bump_field(rng, side, d, counts)
+        exps = self.EXPS[side]
+        for _ in range(3):
+            sigma = random_symmetry(rng, d)
+            for out_grid in (None, f.grid):
+                got = _pull(sigma, f, exps, out_grid)
+                want = _full_lattice_pullback(sigma, f, exps, out_grid)
+                assert got.grid == want.grid
+                assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_nodes_mapped_past_the_box(self, side, d):
+        # most nodes of f's own grid land outside f's box, some past the
+        # one-cell border, where the pullback is 0
+        rng = np.random.default_rng(520 + d)
+        f = _bump_field(rng, side, d, (11, 9, 13, 7)[:d])
+        sigma = Symmetry((Translate((1.5,) + (-0.7,) * (d - 2)),
+                          Shear(0.5, 0.3), Scale(2.5, 1.5)))
+        exps = self.EXPS[side]
+        got = _pull(sigma, f, exps, f.grid)
+        want = _full_lattice_pullback(sigma, f, exps, f.grid)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert 0 < np.count_nonzero(got.values) < got.values.size
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_traced_peak_under_three_outputs(self, side):
+        # the full lattice took 16.0 (source) and 18.0 (target) MB here
+        rng = np.random.default_rng(540)
+        grid = grid_from_box(3, side, -3.0, 3.0, 64)
+        f = SampledField(grid, rng.random(grid.shape))
+        sigma = Symmetry((Translate((0.1, -0.05)), Shear(0.0, 0.04)))
+        _pull(sigma, f, self.EXPS[side])  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            out = _pull(sigma, f, self.EXPS[side])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * out.values.nbytes
+
+
+class TestJacobianPastTheFloatRange:
+    """A Jacobian that is no float still gives its power when that is one."""
+
+    def test_source_power_of_an_overflowing_jacobian(self):
+        # J = (1e200)^3 overflows; J^(1/2) = 1e300 does not
+        f = SampledField(box_grid("source", -1, 1, 8), np.ones((8, 8, 8)))
+        out = pullback_source(Symmetry((Scale(1e200, 1.0),)), f, 2)
+        assert np.allclose(out.values, 1e300, rtol=1e-12, atol=0.0)
+
+    def test_source_power_of_an_underflowing_jacobian(self):
+        # J = (1e-200)^3 underflows to 0, which gave a zero field
+        f = SampledField(box_grid("source", -1, 1, 8), np.ones((8, 8, 8)))
+        out = pullback_source(Symmetry((Scale(1e-200, 1.0),)), f, 2)
+        assert np.allclose(out.values, 1e-300, rtol=1e-12, atol=0.0)
+
+    def test_target_power_of_an_overflowing_jacobian(self):
+        # J_psi' = (1e200)^2 overflows; its 1/r' = 1/2 power is 1e200
+        g = SampledField(box_grid("target", -1, 1, 8), np.ones((8, 8, 8)))
+        out = pullback_target(Symmetry((Scale(1e200, 1.0),)), g, 2, 2)
+        assert np.allclose(out.values, 1e200, rtol=1e-12, atol=0.0)
+
+    def test_power_past_the_float_range_is_an_error(self):
+        f = SampledField(box_grid("source", -1, 1, 8), np.ones((8, 8, 8)))
+        with pytest.raises(ValueError, match="finite"):
+            pullback_source(Symmetry((Scale(1e200, 1.0),)), f, 1)
+
+    def test_finite_jacobians_keep_their_bits(self):
+        rng = np.random.default_rng(560)
+        f = _bump_field(rng, "source", 3, 10)
+        g = _bump_field(rng, "target", 3, 10)
+        for _ in range(5):
+            sigma = Symmetry((Scale(float(rng.uniform(0.3, 3.0)),
+                                    float(rng.uniform(0.3, 3.0))),
+                              Scale(float(rng.uniform(0.3, 3.0)), 1.7)))
+            for h, exps in ((f, (Fraction(3, 2),)), (g, (Fraction(5, 2), 3))):
+                got = _pull(sigma, h, exps)
+                want = _full_lattice_pullback(sigma, h, exps)
+                assert got.values.tobytes() == want.values.tobytes()
