@@ -438,8 +438,8 @@ def cmd_search(p, argv):
     args = p.parse_args(argv)
     cfg = SearchConfig(d=args.d, theta=args.theta, counts=args.counts,
                        box_half=args.box_half, max_iters=args.max_iters,
-                       tol_phi=float(args.tol), renorm_every=args.renorm_every,
-                       seed=args.seed, jitter=float(args.jitter),
+                       tol_phi=args.tol, renorm_every=args.renorm_every,
+                       seed=args.seed, jitter=args.jitter,
                        out_dir=args.out)
     report = run_search(cfg)
     print(f"bestPhi={_fmt(report.best_phi)}")

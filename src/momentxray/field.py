@@ -15,6 +15,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,10 +28,14 @@ _SIDES = ("source", "target")
 # passes over a grid's nodes (pullbacks, rasters, truncate, the r95 radii)
 _BLOCK = 4096
 
+# the types _real takes; bool, an int subclass, is refused on its own
+_REALS = (int, float, Fraction, np.integer, np.floating)
+
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on a box in R^d.  Axis 0 is the s (source) or t (target) axis."""
+    """Uniform grid on a box in R^d.  Axis 0 is the s (source) or t (target)
+    axis.  origin and spacing (> 0) follow the real-number rule (_real)."""
 
     d: int
     side: str
@@ -41,17 +46,15 @@ class Grid:
     def __post_init__(self):
         if self.side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        object.__setattr__(self, "spacing", tuple(float(v) for v in self.spacing))
+        object.__setattr__(self, "origin",
+                           tuple(_real(v, "origin") for v in self.origin))
+        object.__setattr__(self, "spacing",
+                           tuple(_real(v, "spacing", 0) for v in self.spacing))
         object.__setattr__(self, "d", _integer(self.d, "d", 1))
         object.__setattr__(self, "counts",
                            tuple(_integer(v, "counts", 2) for v in self.counts))
         if not (len(self.origin) == len(self.spacing) == len(self.counts) == self.d):
             raise ValueError("origin, spacing, counts must all have length d")
-        if not all(math.isfinite(h) and h > 0 for h in self.spacing):
-            raise ValueError("spacing must be finite and strictly positive")
-        if not all(map(math.isfinite, self.origin)):
-            raise ValueError("origin must be finite")
 
     @property
     def shape(self):
@@ -113,6 +116,25 @@ def _integer(value, name: str, least: int | None = None) -> int:
     return number
 
 
+def _real(value, name: str, low=None, *, strict: bool = True) -> float:
+    """value as a finite Python float, the one real-number rule for every
+    real parameter: Python and numpy ints and floats and Fractions pass; a
+    bool, string, None, array or any other object, an int past the float
+    range, NaN, +-inf, and, when ``low`` is given, a value not > low (not
+    >= low unless ``strict``) raise ValueError naming ``name``."""
+    if not isinstance(value, _REALS) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and (
+            low is None or (number > low if strict else number >= low))):
+        bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return number
+
+
 def _blocks(n: int):
     """Slices that cut n points into consecutive blocks of _BLOCK points.
 
@@ -152,14 +174,14 @@ def _lattice(axes) -> np.ndarray:
 
 
 def grid_from_box(d: int, side: str, lo, hi, counts) -> Grid:
-    """Grid whose cells exactly tile the box [lo, hi] (nodes at cell centers)."""
+    """Grid whose cells exactly tile the box [lo, hi] (nodes at cell centers);
+    lo and hi are checked entry by entry by the real-number rule (_real)."""
     d = _integer(d, "d", 1)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (d,))
-    counts = [_integer(n, "counts", 2)
-              for n in np.broadcast_to(np.asarray(counts, dtype=object), (d,))]
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("box bounds must be finite")
+    lo, hi, counts = (np.broadcast_to(np.asarray(v, dtype=object), (d,))
+                      for v in (lo, hi, counts))
+    lo = np.array([_real(v, "lo") for v in lo])
+    hi = np.array([_real(v, "hi") for v in hi])
+    counts = [_integer(n, "counts", 2) for n in counts]
     if np.any(hi <= lo):
         raise ValueError("box must have positive extent on every axis")
     with np.errstate(over="ignore"):
@@ -349,8 +371,7 @@ def lorentz_mixed_norm(g: SampledField, q, s, r) -> float:
 
 def truncate(F: SampledField, R: float) -> SampledField:
     """Zero out nodes with |z| >= R or |F(z)| >= R (both cutoffs strict)."""
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R}")
+    R = _real(R, "R", 0)
     radius2 = np.empty(F.values.size)
     for blk, nodes in _node_blocks(F.grid):
         radius2[blk] = (nodes ** 2).sum(axis=-1)
@@ -442,33 +463,17 @@ def write_field(f: SampledField, path) -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real_list(v) -> bool:
-    return isinstance(v, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-
-
-_HEADER_TYPES = {
-    "d": _is_int,
-    "side": lambda v: isinstance(v, str),
-    "origin": _is_real_list,
-    "spacing": _is_real_list,
-    "counts": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-}
-
-
 def _header_grid(line: bytes) -> Grid:
     header = json.loads(line.decode("ascii"))
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
-    for key, ok in _HEADER_TYPES.items():
+    for key in ("d", "side", "origin", "spacing", "counts"):
         if key not in header:
             raise ValueError(f"header lacks {key!r}")
-        if not ok(header[key]):
-            raise ValueError(f"header {key!r} has the wrong type")
+    # Grid checks each entry by the integer and real rules
+    for key in ("origin", "spacing", "counts"):
+        if not isinstance(header[key], list):
+            raise ValueError(f"header {key!r} is not a list")
     return Grid(d=header["d"], side=header["side"],
                 origin=tuple(header["origin"]),
                 spacing=tuple(header["spacing"]),

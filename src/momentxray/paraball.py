@@ -47,7 +47,7 @@ import numpy as np
 
 from .exponents import Infinity, conj_exponent, inv, triple_for_theta
 from .field import (Grid, SampledField, _blocks, _integer, _lattice,
-                    _node_blocks, gamma_eval, lp_norm, mixed_norm)
+                    _node_blocks, _real, gamma_eval, lp_norm, mixed_norm)
 from .symmetry import (Scale, Shear, Symmetry, Translate, _pack,
                        _scale_diagonal, _scale_jacobians, inverse, map_source,
                        map_target, shear_matrix)
@@ -68,17 +68,12 @@ class Paraball:
     beta: float
 
     def __post_init__(self):
-        yb = tuple(np.atleast_1d(np.asarray(self.ybar, float)).tolist())
-        object.__setattr__(self, "ybar", yb)
-        object.__setattr__(self, "s0", float(self.s0))
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        if not all(map(math.isfinite,
-                       (self.s0, self.t0, self.alpha, self.beta) + yb)):
-            raise ValueError("paraball parameters must be finite")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("paraball widths alpha, beta must be positive")
+        for name, low in (("s0", None), ("t0", None), ("alpha", 0),
+                          ("beta", 0)):
+            value = _real(getattr(self, name), name, low)
+            object.__setattr__(self, name, value)
+        ybar = np.atleast_1d(np.asarray(self.ybar, object))
+        object.__setattr__(self, "ybar", tuple(_real(c, "ybar") for c in ybar))
         if len(self.ybar) < 2:
             raise ValueError("ybar must have at least 2 components (d >= 3)")
 
@@ -199,8 +194,7 @@ def dual_mixed_norm(B: Paraball, theta) -> float:
 
 
 def scale(B: Paraball, lam: float) -> Paraball:
-    if lam <= 0:
-        raise ValueError("scale factor must be positive")
+    lam = _real(lam, "lam", 0)
     return Paraball(B.s0, B.t0, B.ybar, lam * B.alpha, lam * B.beta)
 
 
@@ -514,8 +508,9 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     the same (d, delta, theta) more than once gains from the cache; a
     one-shot ``momentxray partition`` run still builds its nets once.
     """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
+    delta = _real(delta, "delta", 0)
+    if delta > 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     d = B.d
     trip = triple_for_theta(d, theta)
     if isinstance(trip.q, Infinity):
@@ -524,8 +519,8 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     irc = 1 - ir
     iqc = 1 - inv(trip.q)
     expo = (ir + irc / d) / (iqc + Fraction(d - 1, 2) * irc)
-    eta2 = float(delta) ** float(expo)
-    eta1 = float(delta) ** (1.0 / d) * eta2 ** (-(d - 1) / 2.0)
+    eta2 = delta ** float(expo)
+    eta1 = delta ** (1.0 / d) * eta2 ** (-(d - 1) / 2.0)
 
     s_net, t_net, y_net = _nets(d, eta1, eta2)
     s, t, y = s_net.points[:, 0], t_net.points[:, 0], y_net.points
@@ -540,7 +535,7 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     tgt = map_target(sigma, np.column_stack([T, Y]))
     members = _Members(src[:, 0], tgt[:, 0], tgt[:, 1:],
                        2 * eta1 * B.alpha, 2 * eta2 * B.beta)
-    return Cover(base=B, delta=float(delta), theta=theta, eta1=eta1, eta2=eta2,
+    return Cover(base=B, delta=delta, theta=theta, eta1=eta1, eta2=eta2,
                  members=members, s_net=s, t_net=t, y_net=y,
                  _s_index=s_net, _t_index=t_net, _y_index=y_net)
 
@@ -678,6 +673,7 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
     fixed (starts, seed); ties across starts go to the lowest start index.
     """
     starts = _integer(starts, "starts", 1)
+    eps = _real(eps, "eps", 0, strict=False)
     ratio = quasi_ratio(f, g, theta, plan)
     if ratio < eps:
         raise ValueError(f"pair is not quasi-extremal at eps={eps}"

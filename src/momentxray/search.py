@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import Infinity, as_float, conj_exponent, triple_for_theta
-from .field import (SampledField, _integer, _lq, _node_blocks,
+from .field import (SampledField, _integer, _lq, _node_blocks, _real,
                     _slice_r_norms, grid_from_box, lp_norm, mixed_norm,
                     write_field)
 from .paraball import raster_primal, unit_paraball
@@ -45,14 +45,10 @@ class SearchConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.box_half) and self.box_half > 0):
-            raise ValueError(
-                f"box_half must be finite and > 0, got {self.box_half!r}")
-        for name in ("tol_phi", "jitter"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"{name} must be finite and >= 0, got {value!r}")
+        for name, strict in (("box_half", True), ("tol_phi", False),
+                             ("jitter", False)):
+            object.__setattr__(self, name, _real(getattr(self, name), name,
+                                                 0, strict=strict))
         for name, least in (("d", 3), ("counts", 2), ("max_iters", 0),
                             ("renorm_every", 0), ("seed", 0)):
             object.__setattr__(self, name,
@@ -246,7 +242,10 @@ def _normalized_profile(f: SampledField, p):
 
 def r95_radius(f: SampledField, p, quantile: float = 0.95) -> float:
     """Smallest R with at least the given fraction of |f|^p mass in
-    {|z| <= R} intersect {f <= R |f|_p}."""
+    {|z| <= R} intersect {f <= R |f|_p}; 0 < quantile <= 1."""
+    quantile = _real(quantile, "quantile", 0)
+    if quantile > 1:
+        raise ValueError(f"quantile must lie in (0, 1], got {quantile!r}")
     key, w = _normalized_profile(f, p)
     order = np.argsort(key, kind="stable")
     cum = np.cumsum(w[order])
@@ -257,7 +256,8 @@ def r95_radius(f: SampledField, p, quantile: float = 0.95) -> float:
 
 def localization_report(f: SampledField, p, R: float) -> float:
     """Fraction of |f|^p mass outside {|z| <= R} intersect {f <= R |f|_p},
-    measured after symmetry re-centering."""
+    measured after symmetry re-centering; R >= 0."""
+    R = _real(R, "R", 0, strict=False)
     key, w = _normalized_profile(f, p)
     return float(w[key > R].sum())
 

@@ -23,7 +23,8 @@ is contiguous, which the point queries downstream read column by column.
 Scale's powers and Jacobians are computed only by ``_scale_diagonal`` and
 ``_scale_jacobians``, for the maps, pullbacks and paraball geometry alike;
 ``_jacobian_power`` takes a pullback's power of them, through logs when a
-Jacobian leaves the float range.
+Jacobian leaves the float range.  Every generator parameter is stored as a
+Python float by the real-number rule (field._real).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import (Grid, SampledField, _interpolator, _lattice, _moments,
-                    _node_blocks, gamma_eval, grid_from_box)
+                    _node_blocks, _real, gamma_eval, grid_from_box)
 from .exponents import as_float
 
 
@@ -43,9 +44,8 @@ class Translate:
     v: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(float(c) for c in np.atleast_1d(self.v)))
-        if not all(map(math.isfinite, self.v)):
-            raise ValueError("translation must be finite")
+        v = np.atleast_1d(np.asarray(self.v, object))
+        object.__setattr__(self, "v", tuple(_real(c, "v") for c in v))
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,8 @@ class Scale:
     beta: float
 
     def __post_init__(self):
-        if not all(math.isfinite(c) and c > 0
-                   for c in (self.alpha, self.beta)):
-            raise ValueError(
-                "scale factors must be finite and strictly positive")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", 0))
+        object.__setattr__(self, "beta", _real(self.beta, "beta", 0))
 
 
 def _scale_diagonal(alpha, beta, d: int) -> np.ndarray:
@@ -95,8 +93,8 @@ class Shear:
     t0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.s0) and math.isfinite(self.t0)):
-            raise ValueError("shear parameters must be finite")
+        object.__setattr__(self, "s0", _real(self.s0, "s0"))
+        object.__setattr__(self, "t0", _real(self.t0, "t0"))
 
 
 @dataclass(frozen=True)
@@ -115,12 +113,13 @@ class ShearMatrix:
 def shear_matrix(d: int, t0: float) -> ShearMatrix:
     if d < 3:
         raise ValueError(f"dimension d must be >= 3, got {d}")
+    t0 = _real(t0, "t0")
     n = d - 1
     entries = np.zeros((n, n))
     for m in range(1, n + 1):
         for i in range(1, m + 1):
             entries[m - 1, i - 1] = math.comb(m, i) * t0 ** (m - i)
-    return ShearMatrix(t0=float(t0), entries=entries)
+    return ShearMatrix(t0=t0, entries=entries)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
+import pytest
 from fractions import Fraction
 
 from momentxray.field import SampledField, grid_from_box
@@ -9,6 +12,18 @@ from momentxray.symmetry import Symmetry, Translate, Shear
 D = 3
 P_MAIN = Fraction(3, 2)
 THETA_MAIN = Fraction(5, 6)
+
+
+# values the real-number rule (field._real) refuses, by pytest id
+NON_REALS = {"bool": True, "numpy-bool": np.True_, "str": "2", "none": None,
+             "nan": math.nan, "inf": math.inf, "huge-int": 10 ** 400}
+
+
+def non_reals(*skip):
+    """pytest params of NON_REALS without the ids in ``skip``: values whose
+    refusal, naming the parameter, the site's older checks already gave."""
+    return [pytest.param(v, id=k) for k, v in NON_REALS.items()
+            if k not in skip]
 
 
 def box_grid(side, lo, hi, n, d=D):

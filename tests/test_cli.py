@@ -4,6 +4,7 @@ Every subcommand is driven in-process through ``main`` so exit codes,
 stdout, and the run manifest can be inspected without spawning a shell.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from momentxray.decomposition import combined_decompose, dyadic_decompose
 from momentxray.field import SampledField, grid_from_box, read_field, write_field
 from momentxray.paraball import partition
 from momentxray.search import SearchConfig, run_search
+from momentxray.symmetry import normalize_symmetry
 
 UNIT_BALL = "0,0,0,0,1,1"
 
@@ -219,6 +221,26 @@ class TestSymmetry:
         assert isinstance(steps, list) and len(steps) >= 2
         assert any("Translate" in s for s in steps)
         assert any("Scale" in s for s in steps)
+
+    def test_normalize_prints_plain_floats(self, capsys, tmp_path):
+        # the step list once printed numpy scalars, as np.float64(...)
+        f = write_bump(tmp_path / "bump.field")
+        code, out, _ = run(capsys, ["symmetry", "--field", "bump.field",
+                                    "--p", "3/2", "--normalize"])
+        assert code == 0
+        steps = json.loads(out)
+        assert not any("np." in step for step in steps)
+
+        def plain(value):
+            if isinstance(value, tuple):
+                return tuple(float(v) for v in value)
+            return float(value)
+
+        want = normalize_symmetry(f, Fraction(3, 2)).steps
+        assert steps == [
+            f"{type(st).__name__}(" + ", ".join(
+                f"{k.name}={plain(getattr(st, k.name))!r}"
+                for k in dataclasses.fields(st)) + ")" for st in want]
 
     def test_steps_require_out_path(self, capsys, tmp_path):
         write_bump(tmp_path / "bump.field")
@@ -676,3 +698,19 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert not (tmp_path / "momentxray_run.json").exists()
         assert not (tmp_path / "xf.field").exists()
+
+    def test_header_number_past_the_float_range_exits_65(self, capsys,
+                                                          tmp_path):
+        # a 400-digit origin once escaped as an OverflowError traceback
+        header = {"d": 3, "side": "source", "origin": [10 ** 400, 0, 0],
+                  "spacing": [1, 1, 1], "counts": [2, 2, 2]}
+        (tmp_path / "f.field").write_bytes(
+            json.dumps(header).encode() + b"\n" + bytes(64))
+        code, out, err = run(capsys, ["norm", "--field", "f.field",
+                                      "--p", "2"])
+        assert code == 65
+        assert out == ""
+        assert err.startswith("momentxray norm: error: f.field: bad field"
+                              " header: origin must be finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "momentxray_run.json").exists()

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from momentxray.field import (
     Grid,
     _integer,
     _node_blocks,
+    _real,
     MomentCurve,
     SampledField,
     gamma_eval,
@@ -29,8 +31,11 @@ from momentxray.field import (
     truncate,
     write_field,
 )
+from momentxray.paraball import Paraball, partition, unit_paraball
+from momentxray.search import SearchConfig
+from momentxray.symmetry import Scale, Shear, Translate, shear_matrix
 
-from conftest import box_grid
+from conftest import box_grid, non_reals
 
 
 def const_field(side, lo, hi, n, value=1.0, d=3):
@@ -754,6 +759,82 @@ class TestGridFromBoxBounds:
     def test_rejected_without_a_warning(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             grid_from_box(3, "source", lo, hi, 8)
+
+
+class TestRealRule:
+    """field._real is the one real-number rule: Python and numpy reals and
+    Fractions pass as finite Python floats, and anything else raises
+    ValueError naming the parameter."""
+
+    @pytest.mark.parametrize("value", non_reals() + [
+        pytest.param(np.array([1.0]), id="array"),
+        pytest.param(np.float64("nan"), id="numpy-nan"),
+        pytest.param(-math.inf, id="minus-inf"),
+        pytest.param(1j, id="complex")])
+    def test_rule_rejects(self, value):
+        with pytest.raises(ValueError, match="x must be"):
+            _real(value, "x")
+
+    def test_rule_bound(self):
+        with pytest.raises(ValueError, match="x must be finite and > 0, got 0"):
+            _real(0, "x", 0)
+        with pytest.raises(ValueError,
+                           match="x must be finite and >= 0, got -1"):
+            _real(-1, "x", 0, strict=False)
+        assert _real(0, "x", 0, strict=False) == 0.0
+        assert _real(-3, "x") == -3.0
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64, int, Fraction])
+    def test_sites_store_python_floats(self, kind):
+        one, two = kind(1), kind(2)
+        grid = Grid(d=3, side="source", origin=(one,) * 3,
+                    spacing=(two,) * 3, counts=(4,) * 3)
+        box = grid_from_box(3, "source", -two, two, 4)
+        B = Paraball(one, two, (one, two), two, one)
+        cfg = SearchConfig(box_half=two, tol_phi=one, jitter=one)
+        stored = {
+            "rule": (_real(two, "x"),),
+            "grid": grid.origin + grid.spacing,
+            "grid_from_box": box.origin + box.spacing,
+            "translate": Translate((one, two)).v,
+            "scale": astuple(Scale(one, two)),
+            "shear": astuple(Shear(one, two)),
+            "shear_matrix": (shear_matrix(3, two).t0,),
+            "paraball": (B.s0, B.t0, B.alpha, B.beta) + B.ybar,
+            "partition": (partition(unit_paraball(3), one,
+                                    Fraction(5, 6)).delta,),
+            "search": (cfg.box_half, cfg.tol_phi, cfg.jitter),
+        }
+        for site, values in stored.items():
+            assert all(type(v) is float for v in values), site
+        assert box == grid_from_box(3, "source", -2.0, 2.0, 4)
+        assert B == Paraball(1.0, 2.0, (1.0, 2.0), 2.0, 1.0)
+
+    @pytest.mark.parametrize("value", non_reals("nan", "inf"))
+    def test_grid_origin(self, value):
+        with pytest.raises(ValueError, match=r"\borigin must be"):
+            Grid(d=3, side="source", origin=(0.0, value, 0.0),
+                 spacing=(1.0,) * 3, counts=(4,) * 3)
+
+    @pytest.mark.parametrize("value", non_reals("nan", "inf"))
+    def test_grid_spacing(self, value):
+        with pytest.raises(ValueError, match=r"\bspacing must be"):
+            Grid(d=3, side="source", origin=(0.0,) * 3,
+                 spacing=(1.0, value, 1.0), counts=(4,) * 3)
+
+    @pytest.mark.parametrize("value", non_reals())
+    @pytest.mark.parametrize("name", ["lo", "hi"])
+    def test_grid_from_box_bounds(self, name, value):
+        box = {"lo": -1.0, "hi": 1.0}
+        box[name] = (box[name], value, box[name])
+        with pytest.raises(ValueError, match=rf"\b{name} must be"):
+            grid_from_box(3, "source", box["lo"], box["hi"], 4)
+
+    @pytest.mark.parametrize("value", non_reals("nan"))
+    def test_truncate_radius(self, value):
+        f = SampledField(box_grid("source", -1, 1, 4), np.ones((4, 4, 4)))
+        with pytest.raises(ValueError, match=r"\bR must be"):
+            truncate(f, value)
 
 
 class TestFieldIO:

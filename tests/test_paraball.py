@@ -55,6 +55,8 @@ from momentxray.symmetry import (
 )
 from momentxray.xray import TransformPlan, bilinear
 
+from conftest import non_reals
+
 D = 3
 THETA = Fraction(5, 6)
 
@@ -1280,3 +1282,33 @@ class TestNodeBlocks:
             got = raster(B, grid).values
             assert got.tobytes() == want.tobytes()
             assert 0 < got.sum() < got.size
+
+
+class TestRealRule:
+    """Paraballs, scale, partition and fit_paraball take their reals by the
+    real-number rule (field._real)."""
+
+    @pytest.mark.parametrize("value", non_reals())
+    @pytest.mark.parametrize("name", ["s0", "t0", "ybar", "alpha", "beta"])
+    def test_paraball(self, name, value):
+        params = {"s0": 0.1, "t0": 0.2, "ybar": (0.3, 0.4), "alpha": 1.5,
+                  "beta": 0.5}
+        params[name] = (0.3, value) if name == "ybar" else value
+        with pytest.raises(ValueError, match=rf"\b{name} must be"):
+            Paraball(**params)
+
+    @pytest.mark.parametrize("value", non_reals())
+    def test_scale(self, value):
+        with pytest.raises(ValueError, match=r"\blam must be"):
+            scale(unit_paraball(D), value)
+
+    @pytest.mark.parametrize("value", non_reals())
+    def test_partition(self, value):
+        with pytest.raises(ValueError, match=r"\bdelta must be"):
+            partition(unit_paraball(D), value, THETA)
+
+    @pytest.mark.parametrize("value", non_reals())
+    def test_fit_paraball(self, value):
+        f, g, plan = _unit_pair(16)
+        with pytest.raises(ValueError, match=r"\beps must be"):
+            fit_paraball(f, g, THETA, plan, starts=1, eps=value)

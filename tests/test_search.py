@@ -29,7 +29,7 @@ from momentxray.search import (
 from momentxray import xray
 from momentxray.xray import apply_X, bilinear
 
-from conftest import box_grid
+from conftest import box_grid, non_reals
 
 D = 3
 
@@ -353,6 +353,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="box_half"):
             SearchConfig(box_half=box_half)
 
+    @pytest.mark.parametrize("value", non_reals("nan", "inf"))
+    @pytest.mark.parametrize("name", ["box_half", "tol_phi", "jitter"])
+    def test_reals_by_rule(self, name, value):
+        with pytest.raises(ValueError, match=rf"\b{name} must be"):
+            SearchConfig(**{name: value})
+
     def test_overflowing_box_rejected_by_plan(self):
         cfg = SearchConfig(box_half=1e308)
         with pytest.raises(ValueError, match="finite"):
@@ -425,6 +431,24 @@ class TestLocalization:
         g = box_grid("source", -1, 1, 4)
         with pytest.raises(ValueError):
             r95_radius(SampledField(g, np.zeros((4, 4, 4))), 2)
+
+    @pytest.mark.parametrize("quantile", non_reals() + [
+        pytest.param(0.0, id="zero"), pytest.param(1.5, id="above-one"),
+        pytest.param(-0.5, id="negative")])
+    def test_quantile_rejected(self, quantile):
+        with pytest.raises(ValueError, match=r"\bquantile must"):
+            r95_radius(self._bump(8), 2, quantile)
+
+    @pytest.mark.parametrize("R", non_reals() + [
+        pytest.param(-1.0, id="negative")])
+    def test_radius_rejected(self, R):
+        with pytest.raises(ValueError, match=r"\bR must be"):
+            localization_report(self._bump(8), 2, R)
+
+    def test_closed_ends_accepted(self):
+        f = self._bump(8)
+        assert r95_radius(f, 2, 1) == r95_radius(f, 2, 1.0)
+        assert localization_report(f, 2, 0) == localization_report(f, 2, 0.0)
 
     @staticmethod
     def _skewed(d, counts, seed):

@@ -29,7 +29,7 @@ from momentxray.symmetry import (
 )
 from momentxray.symmetry import _conj_inv, _preimage_grid
 
-from conftest import box_grid, drift_fields
+from conftest import box_grid, drift_fields, non_reals
 
 D = 3
 P = Fraction(3, 2)
@@ -233,6 +233,42 @@ class TestScaleAlgebra:
                 want[:, 0] = lead * z[:, 0]
                 want[:, 1:] = alpha * powers * z[:, 1:]
                 assert fn(sig, z).tobytes() == want.tobytes()
+
+
+class TestRealRule:
+    """The generators and the shear matrix take their parameters by the
+    real-number rule (field._real) and keep Python floats."""
+
+    @pytest.mark.parametrize("value", non_reals())
+    def test_translate(self, value):
+        with pytest.raises(ValueError, match=r"\bv must be"):
+            Translate((0.5, value))
+
+    @pytest.mark.parametrize("value", non_reals())
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_scale(self, name, value):
+        with pytest.raises(ValueError, match=rf"\b{name} must be"):
+            Scale(**{"alpha": 2.0, "beta": 2.0, name: value})
+
+    @pytest.mark.parametrize("value", non_reals())
+    @pytest.mark.parametrize("name", ["s0", "t0"])
+    def test_shear(self, name, value):
+        with pytest.raises(ValueError, match=rf"\b{name} must be"):
+            Shear(**{"s0": 0.5, "t0": 0.5, name: value})
+
+    @pytest.mark.parametrize("value", non_reals())
+    def test_shear_matrix(self, value):
+        with pytest.raises(ValueError, match=r"\bt0 must be"):
+            shear_matrix(D, value)
+
+    def test_integer_scale_maps_as_its_float(self):
+        # an int beta once reached the int64 power beta ** arange(1, d),
+        # which wraps past 2^63: x_2 came out 7.77e18, not 1e20
+        point = (0, 1, 1, 1)
+        got = map_source(Symmetry((Scale(1, 10 ** 10),)), point)
+        want = map_source(Symmetry((Scale(1.0, 1e10),)), point)
+        assert got.tobytes() == want.tobytes()
+        assert got[2] == 1e20
 
 
 class TestPullbacks:
