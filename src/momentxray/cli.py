@@ -92,12 +92,6 @@ def number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad number {text!r}: {exc}")
 
 
-def _fraction_str(e) -> str:
-    if isinstance(e, Infinity):
-        return "inf"
-    return str(Fraction(e))
-
-
 def ball_spec(text: str) -> Paraball:
     """s0,t0,y1,...,y_{d-1},alpha,beta as comma-separated numbers."""
     parts = [p for p in text.split(",") if p.strip()]
@@ -138,10 +132,8 @@ def step_spec(text: str):
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
+    if isinstance(v, (Fraction, Infinity)):
         return str(v)
-    if isinstance(v, Infinity):
-        return "inf"
     if isinstance(v, Paraball):
         return {"s0": v.s0, "t0": v.t0, "ybar": list(v.ybar),
                 "alpha": v.alpha, "beta": v.beta}
@@ -202,15 +194,15 @@ def cmd_exponents(p, argv):
                    help="also print the interpolation constants a,b,c,d")
     args = p.parse_args(argv)
     trip = triple_for_theta(args.d, args.theta)
-    print(f"p={_fraction_str(trip.p)} q={_fraction_str(trip.q)}"
-          f" r={_fraction_str(trip.r)}")
+    # the exact rule holds every exponent as a Fraction or INF
+    print(f"p={trip.p} q={trip.q} r={trip.r}")
     if args.constants:
         t0 = theta_zero(args.d)
         e0 = triple_for_theta(args.d, t0)
         e1 = triple_for_theta(args.d, 1)
         ic = interp_constants(e0, e1, args.theta)
         for name in ("a0", "a1", "b", "c0", "c1", "d0", "d1"):
-            print(f"{name}={_fraction_str(getattr(ic, name))}")
+            print(f"{name}={getattr(ic, name)}")
         print(f"theta0={t0}")
     return args, [], 0
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .exponents import as_float
-from .field import SampledField, _integer, _slice_integrals
+from .field import SampledField, _exponent, _integer, _slice_integrals
 
 J_FLOOR = -40
 
@@ -91,8 +90,8 @@ def slab_decompose(g: SampledField, r, j_min: int = J_FLOOR):
         raise ValueError("slab_decompose expects a target-side field")
     if np.any(g.values < 0):
         raise ValueError("slab_decompose requires nonnegative values")
-    rf = as_float(r)
-    if not 1 <= rf < math.inf:
+    rf = _exponent(r, "r")
+    if math.isinf(rf):
         raise ValueError(f"slab_decompose needs a finite r >= 1, got r = {r}")
     levels = _level_indices(_slice_integrals(g.values, g.grid, rf), j_min)
     return [SlabPiece(l=int(l), t_mask=levels == l)
@@ -154,10 +153,10 @@ def trim_frequency(f: SampledField, W: int, p=2):
     the minorant sum of 2^j chi_{E_j} over |j - j0| < W, so it is <= f.
     """
     W = _integer(W, "W", 1)
+    pf = _exponent(p, "p")
     pieces = dyadic_decompose(f)
     if not pieces:
         raise ValueError("trim_frequency needs a nonzero field")
-    pf = as_float(p)
     best_j, best_w = None, -np.inf
     for pc in pieces:  # ascending j, strict > keeps the smaller index on ties
         weight = 2.0 ** (pc.j * pf) * pc.measure

@@ -3,13 +3,14 @@
 The operator norm is studied on a one-parameter family of exponent triples
 (p, q, r) indexed by theta in [0, 1).  Everything in this module is exact:
 exponents are ``fractions.Fraction`` values, and q = infinity is the
-distinguished sentinel :data:`INF`, never a large number.  Floats are
-rejected on input; callers quantize theta to a rational first.
+distinguished sentinel :data:`INF`, never a large number.  This exact API
+alone rejects floats on input; callers quantize theta to a rational first.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -56,9 +57,14 @@ Exponent = Union[Fraction, Infinity]
 
 
 def _check_rational(value, name):
+    """The one exact exponent rule: INF passes, ints and Fractions become
+    Fractions; a float raises TypeError and any other value ValueError."""
     if isinstance(value, Infinity):
         return value
-    if isinstance(value, float):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(
+            f"{name} must be an exact rational or inf, got {value!r}")
+    if not isinstance(value, numbers.Rational):
         raise TypeError(f"{name} must be an exact rational, got float {value!r}")
     return Fraction(value)
 
@@ -78,16 +84,17 @@ def as_float(e) -> float:
 
 def inv(e: Exponent) -> Fraction:
     """Reciprocal with the convention 1/inf = 0."""
+    e = _check_rational(e, "exponent")
     if isinstance(e, Infinity):
         return Fraction(0)
-    return 1 / Fraction(e)
+    return 1 / e
 
 
 def conj_exponent(e: Exponent) -> Exponent:
     """Hoelder conjugate e' with e' = e/(e-1), 1' = inf, inf' = 1."""
+    e = _check_rational(e, "exponent")
     if isinstance(e, Infinity):
         return Fraction(1)
-    e = Fraction(e)
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
     if e == 1:
@@ -104,13 +111,11 @@ class ExponentTriple:
     r: Exponent
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_rational(self.p, "p"))
-        object.__setattr__(self, "q", _check_rational(self.q, "q"))
-        object.__setattr__(self, "r", _check_rational(self.r, "r"))
         for name in ("p", "q", "r"):
-            e = getattr(self, name)
+            e = _check_rational(getattr(self, name), name)
             if not isinstance(e, Infinity) and e < 1:
                 raise ValueError(f"{name} must be >= 1 or inf, got {e}")
+            object.__setattr__(self, name, e)
 
     def __iter__(self):
         return iter((self.p, self.q, self.r))
@@ -124,8 +129,9 @@ def theta_zero(d: int) -> Fraction:
 
     Returns (d^2 + d - 2)/(d^2 + d) exactly.
     """
-    if d < 3:
-        raise ValueError(f"dimension d must be >= 3, got {d}")
+    from .field import _D_MIN, _integer  # field imports this module
+
+    d = _integer(d, "d", _D_MIN)
     return Fraction(d * d + d - 2, d * d + d)
 
 
@@ -136,8 +142,9 @@ def triple_for_theta(d: int, theta) -> ExponentTriple:
     1/q = theta*d/(d+2)            (q = inf iff theta = 0)
     1/r = 1 - theta + theta*(d^2-d-2)/(d^2+d-2)
     """
-    if d < 3:
-        raise ValueError(f"dimension d must be >= 3, got {d}")
+    from .field import _D_MIN, _integer  # field imports this module
+
+    d = _integer(d, "d", _D_MIN)
     theta = _check_rational(theta, "theta")
     if isinstance(theta, Infinity) or not 0 <= theta <= 1:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exponents import as_float
+from .exponents import Infinity
 
 _SIDES = ("source", "target")
 
@@ -30,6 +30,9 @@ _BLOCK = 4096
 
 # the types _real takes; bool, an int subclass, is refused on its own
 _REALS = (int, float, Fraction, np.integer, np.floating)
+
+# the least dimension d of the moment curve, its group and exponent line
+_D_MIN = 3
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,20 @@ def _real(value, name: str, low=None, *, strict: bool = True) -> float:
     return number
 
 
+def _exponent(value, name: str) -> float:
+    """value as a float, the one numeric exponent rule: INF and float +inf
+    give math.inf; any other value must pass the real-number rule (_real)
+    and be >= 1, or ValueError names ``name`` (a Fraction shown as p/q)."""
+    if isinstance(value, Infinity) or (
+            isinstance(value, (float, np.floating)) and value == math.inf):
+        return math.inf
+    try:
+        return _real(value, name, 1, strict=False)
+    except ValueError:
+        shown = value if isinstance(value, Fraction) else repr(value)
+        raise ValueError(f"{name} must be >= 1 or inf, got {shown}") from None
+
+
 def _blocks(n: int):
     """Slices that cut n points into consecutive blocks of _BLOCK points.
 
@@ -234,8 +251,7 @@ class MomentCurve:
     d: int
 
     def __post_init__(self):
-        if self.d < 3:
-            raise ValueError(f"dimension d must be >= 3, got {self.d}")
+        object.__setattr__(self, "d", _integer(self.d, "d", _D_MIN))
 
     def __call__(self, t):
         return gamma_eval(self.d, t)
@@ -254,8 +270,7 @@ def gamma_eval(d: int, t) -> np.ndarray:
     bit for some t (7053 of 262144 uniform t in [-3, 3) on an AVX-512 host,
     numpy 2.4).
     """
-    if d < 3:
-        raise ValueError(f"dimension d must be >= 3, got {d}")
+    d = _integer(d, "d", _D_MIN)
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
     out = np.empty((d - 1, flat.size))
@@ -287,9 +302,7 @@ def _lq(values: np.ndarray, cell: float, qf: float):
 
 def lp_norm(f: SampledField, p) -> float:
     """Riemann-sum L^p norm; max norm when p is infinite."""
-    pf = as_float(p)
-    if pf < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    pf = _exponent(p, "p")
     return float(_lq(np.abs(f.values), f.grid.cell_volume, pf))
 
 
@@ -299,9 +312,8 @@ def _slice_integrals(values: np.ndarray, grid: Grid, rf: float) -> np.ndarray:
     return (values ** rf).sum(axis=tuple(range(1, grid.d))) * dy
 
 
-def _slice_r_norms(values: np.ndarray, grid: Grid, r) -> np.ndarray:
-    """Inner L^r norm over y for each t-slice (axis 0) of nonnegative values."""
-    rf = as_float(r)
+def _slice_r_norms(values: np.ndarray, grid: Grid, rf: float) -> np.ndarray:
+    """Inner L^rf norm over y per t-slice (axis 0) of nonnegative values."""
     if np.isinf(rf):
         return values.max(axis=tuple(range(1, grid.d)))
     return _slice_integrals(values, grid, rf) ** (1.0 / rf)
@@ -313,15 +325,14 @@ def mixed_norm(g: SampledField, q, r) -> float:
         raise ValueError("mixed_norm expects a target-side field")
     if np.any(g.values < 0):
         raise ValueError("mixed_norm requires nonnegative values")
-    qf, rf = as_float(q), as_float(r)
-    if (not np.isinf(qf) and qf < 1) or (not np.isinf(rf) and rf < 1):
-        raise ValueError("q and r must be >= 1 or inf")
-    inner = _slice_r_norms(g.values, g.grid, r)
+    qf, rf = _exponent(q, "q"), _exponent(r, "r")
+    inner = _slice_r_norms(g.values, g.grid, rf)
     return float(_lq(inner, g.grid.spacing[0], qf))
 
 
 def lorentz_source_norm(f: SampledField, p, s) -> float:
-    """Dyadic Lorentz proxy (sum_j (2^j |E_j|^{1/p})^s)^{1/s} on the source side.
+    """Dyadic Lorentz proxy (sum_j (2^j |E_j|^{1/p})^s)^{1/s} on the source
+    side; the sup over j of 2^j |E_j|^{1/p} when s is infinite.
 
     Equivalent-norm proxy only: correct up to a bounded dyadic factor,
     never compared tighter than a factor of 4.
@@ -332,40 +343,34 @@ def lorentz_source_norm(f: SampledField, p, s) -> float:
         raise ValueError("lorentz_source_norm expects a source-side field")
     if np.any(f.values < 0):
         raise ValueError("lorentz_source_norm requires nonnegative values")
-    pf = as_float(p)
-    sf = as_float(s)
-    if pf < 1 or sf < 1:
-        raise ValueError("p and s must be >= 1")
-    pieces = dyadic_decompose(f)
-    if not pieces:
-        return 0.0
-    terms = [(2.0 ** pc.j * pc.measure ** (1.0 / pf)) ** sf for pc in pieces]
-    return float(sum(terms) ** (1.0 / sf))
+    pf, sf = _exponent(p, "p"), _exponent(s, "s")
+    terms = [2.0 ** pc.j * pc.measure ** (1.0 / pf)
+             for pc in dyadic_decompose(f)]
+    if math.isinf(sf):
+        return float(max(terms, default=0.0))
+    return float(sum(t ** sf for t in terms) ** (1.0 / sf))
 
 
 def lorentz_mixed_norm(g: SampledField, q, s, r) -> float:
-    """Slab Lorentz proxy (sum_l ||g^l||_{q,r}^s)^{1/s} on the target side."""
+    """Slab Lorentz proxy (sum_l ||g^l||_{q,r}^s)^{1/s} on the target side;
+    the sup over l of ||g^l||_{q,r} when s is infinite."""
     from .decomposition import slab_decompose
 
     if g.side != "target":
         raise ValueError("lorentz_mixed_norm expects a target-side field")
     if np.any(g.values < 0):
         raise ValueError("lorentz_mixed_norm requires nonnegative values")
-    sf = as_float(s)
-    if sf < 1:
-        raise ValueError("s must be >= 1")
-    slabs = slab_decompose(g, r)
-    if not slabs:
-        return 0.0
-    qf = as_float(q)
-    if not np.isinf(qf) and qf < 1:  # slab_decompose has checked r
-        raise ValueError("q and r must be >= 1 or inf")
-    inner = _slice_r_norms(g.values, g.grid, r)
+    qf, sf, rf = _exponent(q, "q"), _exponent(s, "s"), _exponent(r, "r")
+    slabs = slab_decompose(g, rf)
+    inner = _slice_r_norms(g.values, g.grid, rf)
+    # g^l is g on slab l's t-slices, so its slice norms are g's there
+    terms = [float(_lq(np.where(slab.t_mask, inner, 0.0), g.grid.spacing[0],
+                       qf)) for slab in slabs]
+    if math.isinf(sf):
+        return max(terms, default=0.0)
     total = 0.0
-    for slab in slabs:
-        # g^l is g on slab l's t-slices, so its slice norms are g's there
-        piece = np.where(slab.t_mask, inner, 0.0)
-        total += float(_lq(piece, g.grid.spacing[0], qf)) ** sf
+    for t in terms:
+        total += t ** sf
     return float(total ** (1.0 / sf))
 
 

@@ -185,7 +185,7 @@ def dual_mixed_norm(B: Paraball, theta) -> float:
     d = B.d
     trip = triple_for_theta(d, theta)
     if isinstance(trip.q, Infinity):
-        raise ValueError("dual_mixed_norm needs finite q (0 < theta)")
+        raise ValueError("dual_mixed_norm needs theta > 0")
     iqc = float(1 - inv(trip.q))
     irc = float(1 - inv(trip.r))
     slab = 2.0 * B.beta
@@ -514,7 +514,7 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     d = B.d
     trip = triple_for_theta(d, theta)
     if isinstance(trip.q, Infinity):
-        raise ValueError("partition needs 0 < theta < 1")
+        raise ValueError("partition needs theta > 0")
     ir = inv(trip.r)
     irc = 1 - ir
     iqc = 1 - inv(trip.q)
@@ -650,7 +650,7 @@ def quasi_ratio(f: SampledField, g: SampledField, theta,
     """X(f, g) / (|f|_p |g|_{q', r'}) at the theta exponents."""
     trip = triple_for_theta(plan.d, theta)
     if isinstance(trip.q, Infinity):
-        raise ValueError("quasi_ratio needs 0 < theta < 1")
+        raise ValueError("quasi_ratio needs theta > 0")
     num = bilinear(f, g, plan)
     den = lp_norm(f, trip.p) * mixed_norm(g, conj_exponent(trip.q),
                                           conj_exponent(trip.r))

@@ -20,10 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exponents import Infinity, as_float, conj_exponent, triple_for_theta
-from .field import (SampledField, _integer, _lq, _node_blocks, _real,
-                    _slice_r_norms, grid_from_box, lp_norm, mixed_norm,
-                    write_field)
+from .exponents import Infinity, conj_exponent, triple_for_theta
+from .field import (_D_MIN, SampledField, _exponent, _integer, _lq,
+                    _node_blocks, _real, _slice_r_norms, grid_from_box,
+                    lp_norm, mixed_norm, write_field)
 from .paraball import raster_primal, unit_paraball
 from .symmetry import normalize_symmetry, pullback_source
 from .xray import TransformPlan, apply_X, apply_X_star
@@ -49,7 +49,7 @@ class SearchConfig:
                              ("jitter", False)):
             object.__setattr__(self, name, _real(getattr(self, name), name,
                                                  0, strict=strict))
-        for name, least in (("d", 3), ("counts", 2), ("max_iters", 0),
+        for name, least in (("d", _D_MIN), ("counts", 2), ("max_iters", 0),
                             ("renorm_every", 0), ("seed", 0)):
             object.__setattr__(self, name,
                                _integer(getattr(self, name), name, least))
@@ -57,7 +57,7 @@ class SearchConfig:
     def exponents(self):
         trip = triple_for_theta(self.d, self.theta)
         if isinstance(trip.q, Infinity):
-            raise ValueError("search needs 0 < theta < 1")
+            raise ValueError("search needs theta > 0")
         return trip
 
     def plan(self) -> TransformPlan:
@@ -138,7 +138,7 @@ def dual_map(h: SampledField, q, r) -> SampledField:
     """
     if h.side != "target":
         raise ValueError("dual_map expects a target-side field")
-    qf, rf = as_float(q), as_float(r)
+    qf, rf = _exponent(q, "q"), _exponent(r, "r")
     if not (1 < qf < math.inf and 1 < rf < math.inf):
         raise ValueError("dual_map needs finite q, r > 1")
     av = np.abs(h.values)
@@ -225,8 +225,8 @@ def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
 
 def _normalized_profile(f: SampledField, p):
     """Weights |f|^p dV and keys max(|z|, |f|/|f|_p) after re-centering."""
+    pf = _exponent(p, "p")
     fn = _normal_form(f, p)
-    pf = as_float(p)
     av = np.abs(fn.values).ravel()
     w = av ** pf * fn.grid.cell_volume
     tot = w.sum()

@@ -34,9 +34,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (Grid, SampledField, _interpolator, _lattice, _moments,
-                    _node_blocks, _real, gamma_eval, grid_from_box)
-from .exponents import as_float
+from .field import (_D_MIN, Grid, SampledField, _exponent, _integer,
+                    _interpolator, _lattice, _moments, _node_blocks, _real,
+                    gamma_eval, grid_from_box)
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,7 @@ class ShearMatrix:
 
 
 def shear_matrix(d: int, t0: float) -> ShearMatrix:
-    if d < 3:
-        raise ValueError(f"dimension d must be >= 3, got {d}")
+    d = _integer(d, "d", _D_MIN)
     t0 = _real(t0, "t0")
     n = d - 1
     entries = np.zeros((n, n))
@@ -245,9 +244,9 @@ def target_factors(sigma: Symmetry, d: int):
     return dt_fac, jy
 
 
-def _conj_inv(e) -> float:
-    """1/e' as a float, with 1/inf = 0."""
-    return 1.0 - 1.0 / as_float(e)
+def _conj_inv(ef: float) -> float:
+    """1/e' for an exponent float ef checked by _exponent, with 1/inf = 0."""
+    return 1.0 - 1.0 / ef
 
 
 def _preimage_grid(sigma: Symmetry, grid: Grid, target_side: bool) -> Grid:
@@ -305,11 +304,12 @@ def pullback_source(sigma: Symmetry, f: SampledField, p,
     _pullback), and a Jacobian past the float range still gives its 1/p
     power when that is a float (see _jacobian_power).
     """
+    pf = _exponent(p, "p")
     if not sigma.steps and out_grid is None:
         return f
     d = f.d
     return _pullback(sigma, f, out_grid, False,
-                     [(source_jacobian(sigma, d), 1.0 / as_float(p),
+                     [(source_jacobian(sigma, d), 1.0 / pf,
                        d, d * (d - 1) // 2)])
 
 
@@ -317,13 +317,14 @@ def pullback_target(sigma: Symmetry, g: SampledField, q, r,
                     out_grid: Grid | None = None) -> SampledField:
     """(psi^* g)(t, y) = psi_1'^{1/q'} J_psi'^{1/r'} g(psi(t, y)), resampled
     as pullback_source resamples."""
+    qf, rf = _exponent(q, "q"), _exponent(r, "r")
     if not sigma.steps and out_grid is None:
         return g
     d = g.d
     dt_fac, jy = target_factors(sigma, d)
     return _pullback(sigma, g, out_grid, True,
-                     [(dt_fac, _conj_inv(q), 0, 1),
-                      (jy, _conj_inv(r), d - 1, d * (d - 1) // 2)])
+                     [(dt_fac, _conj_inv(qf), 0, 1),
+                      (jy, _conj_inv(rf), d - 1, d * (d - 1) // 2)])
 
 
 def _weighted_iqr(values: np.ndarray, weights: np.ndarray) -> float:
@@ -348,7 +349,7 @@ def normalize_symmetry(f: SampledField, p) -> Symmetry:
     if f.side != "source":
         raise ValueError("normalize_symmetry expects a source-side field")
     d = f.d
-    pf = as_float(p)
+    pf = _exponent(p, "p")
     w = np.abs(f.values) ** (1.0 if math.isinf(pf) else pf)
     total = w.sum()
     if not total > 0:

@@ -26,6 +26,18 @@ def non_reals(*skip):
             if k not in skip]
 
 
+# values the exponent rule (field._exponent) refuses, by pytest id
+NON_EXPONENTS = {"bool": True, "numpy-bool": np.True_, "str": "2",
+                 "none": None, "nan": math.nan, "minus-inf": -math.inf,
+                 "huge-int": 10 ** 400, "half": 0.5, "zero": 0}
+
+
+def non_exponents(*skip):
+    """pytest params of NON_EXPONENTS without the ids in ``skip``."""
+    return [pytest.param(v, id=k) for k, v in NON_EXPONENTS.items()
+            if k not in skip]
+
+
 def box_grid(side, lo, hi, n, d=D):
     """Cubical grid helper used throughout."""
     return grid_from_box(d, side, [lo] * d, [hi] * d, [n] * d)

@@ -684,6 +684,47 @@ class TestErrorContract:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "momentxray_run.json").exists()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["symmetry", "--step", "scale:2,1", "--p", "0", "--out", "o.field"],
+         "p"),
+        (["symmetry", "--step", "scale:2,1", "--p", "1/2",
+          "--out", "o.field"], "p"),
+        (["symmetry", "--normalize", "--p", "-1"], "p"),
+        (["decompose", "--mode", "trim", "--p", "-3", "--out", "o.field"],
+         "p"),
+    ], ids=["pullback-p-zero", "pullback-p-half", "normalize-p-negative",
+            "trim-p-negative"])
+    def test_exponent_below_one_exits_65(self, capsys, tmp_path, argv, name):
+        # --p 0 once escaped as a ZeroDivisionError traceback with exit 1,
+        # and the others ran to exit 0
+        write_bump(tmp_path / "bump.field")
+        code, out, err = run(capsys, argv[:1] + ["--field", "bump.field"]
+                             + argv[1:])
+        assert code == 65
+        assert out == ""
+        assert err.startswith(f"momentxray {argv[0]}: error: {name} must be"
+                              " >= 1 or inf, got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "momentxray_run.json").exists()
+        assert not (tmp_path / "o.field").exists()
+
+    def test_exponent_error_is_one_line_from_a_process(self, tmp_path):
+        write_bump(tmp_path / "bump.field")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       momentxray.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "momentxray.cli", "symmetry", "--field", "bump.field", "--step",
+             "scale:2,1", "--p", "0", "--out", "o.field"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        assert proc.returncode == 65
+        assert proc.stdout == ""
+        assert proc.stderr == ("momentxray symmetry: error: p must be >= 1"
+                               " or inf, got 0\n")
+        assert not (tmp_path / "momentxray_run.json").exists()
+
     def test_malformed_header_exits_65(self, capsys, tmp_path):
         header = {"d": 3, "side": "source", "spacing": [1, 1, 1],
                   "counts": [2, 2, 2]}

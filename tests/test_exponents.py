@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,3 +249,68 @@ class TestTripleValidation:
     def test_iterates_in_order(self):
         t = ExponentTriple(F(3, 2), 2, 2)
         assert tuple(t) == (F(3, 2), F(2), F(2))
+
+
+# values the exact rule (exponents._check_rational) refuses with ValueError
+NON_RATIONALS = [pytest.param(True, id="bool"),
+                 pytest.param(np.True_, id="numpy-bool"),
+                 pytest.param("1/2", id="str"), pytest.param(None, id="none")]
+
+
+def _endpoints():
+    return triple_for_theta(3, F(1, 3)), triple_for_theta(3, F(2, 3))
+
+
+class TestExactRule:
+    """exponents._check_rational is the one exact exponent rule: INF
+    passes, ints and Fractions become Fractions, a float raises TypeError
+    and any other value ValueError naming the parameter."""
+
+    SITES = {
+        "ExponentTriple.p": ("p", lambda e: ExponentTriple(e, 2, 2)),
+        "ExponentTriple.q": ("q", lambda e: ExponentTriple(2, e, 2)),
+        "ExponentTriple.r": ("r", lambda e: ExponentTriple(2, 2, e)),
+        "as_exponent": ("exponent", as_exponent),
+        "triple_for_theta": ("theta", lambda e: triple_for_theta(3, e)),
+        "interpolated_triple": (
+            "theta", lambda e: interpolated_triple(*_endpoints(), e)),
+        "interp_constants": (
+            "theta", lambda e: interp_constants(*_endpoints(), e)),
+        "k0_index": ("theta", lambda e: k0_index(
+            interp_constants(*_endpoints(), F(1, 2)), e, 1, 2, 3, 4, 5)),
+        "balance_ratio": ("theta",
+                          lambda e: balance_ratio(3, e, 1.0, 1.0, 1.0)),
+        "conj_exponent": ("exponent", conj_exponent),
+        "inv": ("exponent", inv),
+    }
+
+    @pytest.mark.parametrize("value", NON_RATIONALS)
+    @pytest.mark.parametrize("site", SITES)
+    def test_site_rejects(self, site, value):
+        name, call = self.SITES[site]
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be an exact rational or inf"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5)],
+                             ids=["float", "numpy-float64", "numpy-float32"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_site_keeps_the_float_type_error(self, site, value):
+        with pytest.raises(TypeError, match="must be an exact rational"):
+            self.SITES[site][1](value)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, F])
+    def test_integers_and_fractions_become_fractions(self, kind):
+        assert type(as_exponent(kind(2))) is F and as_exponent(kind(2)) == 2
+        assert conj_exponent(kind(2)) == 2
+        assert type(conj_exponent(kind(2))) is F
+        assert inv(kind(2)) == F(1, 2) and type(inv(kind(2))) is F
+        assert conj_exponent(kind(1)) is INF
+        t = ExponentTriple(kind(2), kind(3), kind(4))
+        assert all(type(e) is F for e in t)
+        assert triple_for_theta(3, kind(1)) == triple_for_theta(3, F(1))
+
+    def test_infinity_passes(self):
+        assert as_exponent(INF) is INF
+        assert conj_exponent(INF) == 1 and inv(INF) == 0
+        assert ExponentTriple(2, INF, 2).q is INF

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentxray.decomposition import slab_decompose
-from momentxray.exponents import INF, as_float
+from momentxray.decomposition import (dyadic_decompose, slab_decompose,
+                                      trim_frequency)
+from momentxray.exponents import INF, as_float, theta_zero, triple_for_theta
 from momentxray.field import (
     _BLOCK,
     Grid,
+    _exponent,
     _integer,
     _node_blocks,
     _real,
@@ -32,10 +34,13 @@ from momentxray.field import (
     write_field,
 )
 from momentxray.paraball import Paraball, partition, unit_paraball
-from momentxray.search import SearchConfig
-from momentxray.symmetry import Scale, Shear, Translate, shear_matrix
+from momentxray.search import (SearchConfig, dual_map, localization_report,
+                               r95_radius)
+from momentxray.symmetry import (Scale, Shear, Symmetry, Translate,
+                                 normalize_symmetry, pullback_source,
+                                 pullback_target, shear_matrix)
 
-from conftest import box_grid, non_reals
+from conftest import box_grid, non_exponents, non_reals
 
 
 def const_field(side, lo, hi, n, value=1.0, d=3):
@@ -835,6 +840,200 @@ class TestRealRule:
         f = SampledField(box_grid("source", -1, 1, 4), np.ones((4, 4, 4)))
         with pytest.raises(ValueError, match=r"\bR must be"):
             truncate(f, value)
+
+
+def _exponent_fields():
+    """(f, g, sigma): positive 4^3 source and target fields and a scale."""
+    rng = np.random.default_rng(83)
+    f, g = (SampledField(box_grid(side, -1, 1, 4),
+                         rng.uniform(0.5, 3, (4,) * 3))
+            for side in ("source", "target"))
+    return f, g, Symmetry((Scale(2.0, 1.0),))
+
+
+# every numeric exponent site, "function.parameter": a call of the function
+# on (f, g, sigma) with that parameter set to e and the others valid
+EXPONENT_SITES = {
+    "lp_norm.p": lambda f, g, sig, e: lp_norm(f, e),
+    "mixed_norm.q": lambda f, g, sig, e: mixed_norm(g, e, 2),
+    "mixed_norm.r": lambda f, g, sig, e: mixed_norm(g, 2, e),
+    "lorentz_source_norm.p": lambda f, g, sig, e: lorentz_source_norm(f, e, 2),
+    "lorentz_source_norm.s": lambda f, g, sig, e: lorentz_source_norm(f, 2, e),
+    "lorentz_mixed_norm.q": lambda f, g, sig, e: lorentz_mixed_norm(
+        g, e, 2, 2),
+    "lorentz_mixed_norm.s": lambda f, g, sig, e: lorentz_mixed_norm(
+        g, 2, e, 2),
+    "lorentz_mixed_norm.r": lambda f, g, sig, e: lorentz_mixed_norm(
+        g, 2, 2, e),
+    "dual_map.q": lambda f, g, sig, e: dual_map(g, e, 2),
+    "dual_map.r": lambda f, g, sig, e: dual_map(g, 2, e),
+    "slab_decompose.r": lambda f, g, sig, e: slab_decompose(g, e),
+    "trim_frequency.p": lambda f, g, sig, e: trim_frequency(f, 1, e),
+    "normalize_symmetry.p": lambda f, g, sig, e: normalize_symmetry(f, e),
+    "pullback_source.p": lambda f, g, sig, e: pullback_source(sig, f, e),
+    "pullback_target.q": lambda f, g, sig, e: pullback_target(sig, g, e, 2),
+    "pullback_target.r": lambda f, g, sig, e: pullback_target(sig, g, 2, e),
+    "r95_radius.p": lambda f, g, sig, e: r95_radius(f, e),
+    "localization_report.p": lambda f, g, sig, e: localization_report(f, e,
+                                                                      1.0),
+}
+
+
+class TestExponentRule:
+    """field._exponent is the one numeric exponent rule: INF and float +inf
+    give math.inf, other reals >= 1 pass as Python floats, and anything
+    else raises ValueError naming the parameter."""
+
+    @pytest.mark.parametrize("value", non_exponents() + [
+        pytest.param(np.array([2.0]), id="array"),
+        pytest.param(np.float64("nan"), id="numpy-nan"),
+        pytest.param(Fraction(1, 2), id="fraction-half")])
+    def test_rule_rejects(self, value):
+        with pytest.raises(ValueError, match=r"^p must be >= 1 or inf, got"):
+            _exponent(value, "p")
+
+    def test_rule_message(self):
+        with pytest.raises(ValueError,
+                           match=r"^p must be >= 1 or inf, got 0\.5$"):
+            _exponent(0.5, "p")
+        with pytest.raises(ValueError,
+                           match=r"^q must be >= 1 or inf, got 1/2$"):
+            _exponent(Fraction(1, 2), "q")
+
+    @pytest.mark.parametrize("value", [
+        1, 2, np.int64(3), np.uint8(4), Fraction(3, 2), Fraction(7, 3), 1.0,
+        2.5, np.float64(1.25), 10 ** 300, INF, math.inf, np.float64(np.inf)])
+    def test_rule_gives_the_as_float_value(self, value):
+        # the float each accepted exponent became before the rule
+        got = _exponent(value, "p")
+        assert type(got) is float and got == as_float(value)
+
+    @pytest.mark.parametrize("value", non_exponents())
+    @pytest.mark.parametrize("site", EXPONENT_SITES)
+    def test_site_rejects(self, site, value):
+        f, g, sig = _exponent_fields()
+        name = site.split(".")[1]
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be >= 1 or inf, got"):
+            EXPONENT_SITES[site](f, g, sig, value)
+
+    @pytest.mark.parametrize("site", ["pullback_source.p",
+                                      "pullback_target.q",
+                                      "pullback_target.r"])
+    def test_pullback_checks_before_the_identity_shortcut(self, site):
+        f, g, _ = _exponent_fields()
+        with pytest.raises(ValueError, match="must be >= 1 or inf"):
+            EXPONENT_SITES[site](f, g, Symmetry(), 0.5)
+
+    # sites that refuse an infinite exponent (dual_map, slab_decompose and
+    # through it lorentz_mixed_norm's r), or whose |f|^p weights have no
+    # limit there (the r95 profile)
+    FINITE_ONLY = ("dual_map.q", "dual_map.r", "slab_decompose.r",
+                   "lorentz_mixed_norm.r", "r95_radius.p",
+                   "localization_report.p")
+
+    @pytest.mark.parametrize("site", EXPONENT_SITES)
+    def test_site_accepts_every_exponent_type_alike(self, site):
+        # int, numpy int, Fraction and float give the Fraction's result,
+        # to the byte; INF, math.inf and numpy inf give one result
+        f, g, sig = _exponent_fields()
+        call = EXPONENT_SITES[site]
+
+        def key(out):
+            if isinstance(out, SampledField):
+                return out.grid, out.values.tobytes()
+            if isinstance(out, (list, tuple)) and out and hasattr(
+                    out[0], "t_mask"):
+                return [(pc.l, pc.t_mask.tobytes()) for pc in out]
+            if isinstance(out, tuple):
+                return key(out[0]), out[1]
+            if isinstance(out, Symmetry):
+                return repr(out)
+            return float(out).hex()
+
+        want = key(call(f, g, sig, Fraction(3)))
+        for e in (3, np.int64(3), 3.0, np.float64(3.0)):
+            assert key(call(f, g, sig, e)) == want, e
+        if site in self.FINITE_ONLY:
+            return
+        want = key(call(f, g, sig, INF))
+        for e in (math.inf, np.float64(np.inf)):
+            assert key(call(f, g, sig, e)) == want, e
+
+
+class TestLorentzInfiniteS:
+    """At s = inf both Lorentz proxies are the sup of their terms, the limit
+    of the finite-s values, not 1.0."""
+
+    def test_source_proxy_is_the_sup(self):
+        f, _, _ = _exponent_fields()
+        for p in (1, Fraction(3, 2), 2, INF):
+            pf = as_float(p)
+            sup = max(2.0 ** pc.j * pc.measure ** (1.0 / pf)
+                      for pc in dyadic_decompose(f))
+            assert lorentz_source_norm(f, p, INF) == sup
+            assert lorentz_source_norm(f, p, math.inf) == sup
+            near = lorentz_source_norm(f, p, 256)
+            assert sup <= near <= sup * len(dyadic_decompose(f)) ** (1 / 256)
+
+    def test_mixed_proxy_is_the_sup(self):
+        rng = np.random.default_rng(89)
+        g = box_grid("target", -1, 1, 8)
+        scale = 2.0 ** rng.integers(-3, 3, 8)
+        f = SampledField(g, rng.random((8,) * 3) * scale.reshape(-1, 1, 1))
+        slabs = slab_decompose(f, 2)
+        assert len(slabs) > 1
+        for q in (1, 2, INF):
+            sup = max(mixed_norm(f.with_values(
+                f.values * slab.t_mask.reshape(-1, 1, 1)), q, 2)
+                for slab in slabs)
+            got = lorentz_mixed_norm(f, q, INF, 2)
+            assert got == pytest.approx(sup, rel=1e-14)
+            near = lorentz_mixed_norm(f, q, 256, 2)
+            assert got <= near <= got * len(slabs) ** (1 / 256)
+
+    def test_zero_field_is_zero(self):
+        assert lorentz_source_norm(const_field("source", 0, 1, 4, 0.0), 2,
+                                   INF) == 0.0
+        assert lorentz_mixed_norm(const_field("target", 0, 1, 4, 0.0), 2,
+                                  INF, 2) == 0.0
+
+
+class TestDimensionRule:
+    """The moment-curve dimension d goes through field._integer with least
+    3 at every site."""
+
+    SITES = {
+        "gamma_eval": lambda d: gamma_eval(d, 0.5),
+        "MomentCurve": lambda d: MomentCurve(d)(0.5),
+        "shear_matrix": lambda d: shear_matrix(d, 0.5).entries,
+        "theta_zero": lambda d: theta_zero(d),
+        "triple_for_theta": lambda d: tuple(triple_for_theta(
+            d, Fraction(1, 2))),
+    }
+
+    @pytest.mark.parametrize("d", [3.0, 3.5, "3", None, True, np.True_],
+                             ids=["float", "fraction-float", "str", "none",
+                                  "bool", "numpy-bool"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_non_integer_d(self, site, d):
+        with pytest.raises(ValueError, match="^d must be an integer"):
+            self.SITES[site](d)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_small_d(self, site):
+        with pytest.raises(ValueError, match=r"^d must be >= 3, got 2$"):
+            self.SITES[site](2)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_numpy_integer_d(self, site):
+        want = self.SITES[site](4)
+        got = self.SITES[site](np.int64(4))
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+        assert type(MomentCurve(np.int64(4)).d) is int
 
 
 class TestFieldIO:

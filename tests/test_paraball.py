@@ -53,6 +53,7 @@ from momentxray.symmetry import (
     pullback_source,
     pullback_target,
 )
+from momentxray.search import SearchConfig
 from momentxray.xray import TransformPlan, bilinear
 
 from conftest import non_reals
@@ -1312,3 +1313,29 @@ class TestRealRule:
         f, g, plan = _unit_pair(16)
         with pytest.raises(ValueError, match=r"\beps must be"):
             fit_paraball(f, g, THETA, plan, starts=1, eps=value)
+
+
+class TestThetaZeroMessage:
+    """The four theta sites that need a finite q refuse theta = 0 only, and
+    say so; theta = 1 is accepted."""
+
+    SITES = {
+        "dual_mixed_norm": lambda th: dual_mixed_norm(unit_paraball(3), th),
+        "partition": lambda th: partition(unit_paraball(3), 1, th),
+        "quasi_ratio": lambda th: quasi_ratio(
+            *(field.SampledField(grid_from_box(3, side, -1, 1, 4),
+                                 np.ones((4,) * 3))
+              for side in ("source", "target")), th,
+            TransformPlan(grid_from_box(3, "source", -1, 1, 4),
+                          grid_from_box(3, "target", -1, 1, 4))),
+        "search": lambda th: SearchConfig(theta=th).exponents(),
+    }
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_theta_zero(self, site):
+        with pytest.raises(ValueError, match=rf"^{site} needs theta > 0$"):
+            self.SITES[site](Fraction(0))
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_theta_one_accepted(self, site):
+        self.SITES[site](Fraction(1))
