@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import SampledField, _exponent, _integer, _slice_integrals
+from .field import SampledField, _exponent, _field, _integer, _slice_integrals
 
 J_FLOOR = -40
 
@@ -73,8 +73,7 @@ def _level_indices(values: np.ndarray, j_min: int) -> np.ndarray:
 
 def dyadic_decompose(f: SampledField, j_min: int = J_FLOOR):
     """Level pieces of f, sorted by j ascending, sharing one level array."""
-    if np.any(f.values < 0):
-        raise ValueError("dyadic_decompose requires nonnegative values")
+    _field(f, "dyadic_decompose", nonnegative=True)
     levels = _level_indices(f.values, j_min)
     levels.flags.writeable = False
     cellvol = f.grid.cell_volume
@@ -86,10 +85,7 @@ def dyadic_decompose(f: SampledField, j_min: int = J_FLOOR):
 
 def slab_decompose(g: SampledField, r, j_min: int = J_FLOOR):
     """t-slab pieces of g classified by the slice integral of g^r."""
-    if g.side != "target":
-        raise ValueError("slab_decompose expects a target-side field")
-    if np.any(g.values < 0):
-        raise ValueError("slab_decompose requires nonnegative values")
+    _field(g, "slab_decompose", "target", nonnegative=True)
     rf = _exponent(r, "r")
     if math.isinf(rf):
         raise ValueError(f"slab_decompose needs a finite r >= 1, got r = {r}")
@@ -106,8 +102,7 @@ def combined_decompose(g: SampledField, q, r, j_min: int = J_FLOOR):
     dyadic class m.  q is accepted alongside r for callers that report norm
     contributions; the masks depend on r only.
     """
-    if g.side != "target":
-        raise ValueError("combined_decompose expects a target-side field")
+    _field(g, "combined_decompose", "target", nonnegative=True)
     value_pieces = dyadic_decompose(g, j_min=j_min)
     slabs = slab_decompose(g, r, j_min=j_min)
     slab_of_t = np.full(g.grid.counts[0], j_min - 1, dtype=np.int64)
@@ -139,6 +134,7 @@ def reconstruct(pieces, f: SampledField) -> SampledField:
     A piece's value level is j for a dyadic piece and k for a combined one.
     Each mask is built for its term and dropped, so one is held at a time.
     """
+    _field(f, "reconstruct")
     vals = np.zeros(f.grid.shape)
     for pc in pieces:
         level = pc.k if isinstance(pc, CombinedPiece) else pc.j
@@ -152,6 +148,7 @@ def trim_frequency(f: SampledField, W: int, p=2):
     j0 maximizes 2^{jp} |E_j| (ties to the smaller j); the returned field is
     the minorant sum of 2^j chi_{E_j} over |j - j0| < W, so it is <= f.
     """
+    _field(f, "trim_frequency")
     W = _integer(W, "W", 1)
     pf = _exponent(p, "p")
     pieces = dyadic_decompose(f)

@@ -155,6 +155,15 @@ def triple_for_theta(d: int, theta) -> ExponentTriple:
     return ExponentTriple(p=1 / ip, q=q, r=1 / ir)
 
 
+def _finite_q_triple(d: int, theta, site: str) -> ExponentTriple:
+    """triple_for_theta(d, theta) for a site that needs a finite q: theta = 0,
+    where q = inf, raises ValueError: <site> needs theta > 0."""
+    trip = triple_for_theta(d, theta)
+    if isinstance(trip.q, Infinity):
+        raise ValueError(f"{site} needs theta > 0")
+    return trip
+
+
 def conjugate(t: ExponentTriple) -> ExponentTriple:
     """Hoelder-conjugate triple (p', q', r')."""
     return ExponentTriple(

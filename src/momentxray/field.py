@@ -152,6 +152,26 @@ def _exponent(value, name: str) -> float:
         raise ValueError(f"{name} must be >= 1 or inf, got {shown}") from None
 
 
+def _field(value, site: str, side: str | None = None, *,
+           grid: Grid | None = None, nonnegative: bool = False) -> None:
+    """The one field-argument rule, run before any transform, pullback or
+    norm pass: a value that is not a SampledField, a field not on ``side``
+    when one is given, a field whose grid is not ``grid`` (a plan's source
+    or target grid) when one is given, and, if ``nonnegative``, a field
+    with a negative value raise ValueError; every message but the grid's
+    names ``site``."""
+    if not isinstance(value, SampledField):
+        raise ValueError(f"{site} expects a SampledField,"
+                         f" got {type(value).__name__}")
+    if side is not None and value.side != side:
+        raise ValueError(f"{site} expects a {side}-side field")
+    if grid is not None and value.grid != grid:
+        raise ValueError(
+            f"field grid does not match the plan's {grid.side} grid")
+    if nonnegative and np.any(value.values < 0):
+        raise ValueError(f"{site} requires nonnegative values")
+
+
 def _blocks(n: int):
     """Slices that cut n points into consecutive blocks of _BLOCK points.
 
@@ -302,6 +322,7 @@ def _lq(values: np.ndarray, cell: float, qf: float):
 
 def lp_norm(f: SampledField, p) -> float:
     """Riemann-sum L^p norm; max norm when p is infinite."""
+    _field(f, "lp_norm")
     pf = _exponent(p, "p")
     return float(_lq(np.abs(f.values), f.grid.cell_volume, pf))
 
@@ -321,10 +342,7 @@ def _slice_r_norms(values: np.ndarray, grid: Grid, rf: float) -> np.ndarray:
 
 def mixed_norm(g: SampledField, q, r) -> float:
     """Mixed norm: L^r in y inside, L^q in t outside."""
-    if g.side != "target":
-        raise ValueError("mixed_norm expects a target-side field")
-    if np.any(g.values < 0):
-        raise ValueError("mixed_norm requires nonnegative values")
+    _field(g, "mixed_norm", "target", nonnegative=True)
     qf, rf = _exponent(q, "q"), _exponent(r, "r")
     inner = _slice_r_norms(g.values, g.grid, rf)
     return float(_lq(inner, g.grid.spacing[0], qf))
@@ -339,10 +357,7 @@ def lorentz_source_norm(f: SampledField, p, s) -> float:
     """
     from .decomposition import dyadic_decompose
 
-    if f.side != "source":
-        raise ValueError("lorentz_source_norm expects a source-side field")
-    if np.any(f.values < 0):
-        raise ValueError("lorentz_source_norm requires nonnegative values")
+    _field(f, "lorentz_source_norm", "source", nonnegative=True)
     pf, sf = _exponent(p, "p"), _exponent(s, "s")
     terms = [2.0 ** pc.j * pc.measure ** (1.0 / pf)
              for pc in dyadic_decompose(f)]
@@ -356,10 +371,7 @@ def lorentz_mixed_norm(g: SampledField, q, s, r) -> float:
     the sup over l of ||g^l||_{q,r} when s is infinite."""
     from .decomposition import slab_decompose
 
-    if g.side != "target":
-        raise ValueError("lorentz_mixed_norm expects a target-side field")
-    if np.any(g.values < 0):
-        raise ValueError("lorentz_mixed_norm requires nonnegative values")
+    _field(g, "lorentz_mixed_norm", "target", nonnegative=True)
     qf, sf, rf = _exponent(q, "q"), _exponent(s, "s"), _exponent(r, "r")
     slabs = slab_decompose(g, rf)
     inner = _slice_r_norms(g.values, g.grid, rf)
@@ -376,6 +388,7 @@ def lorentz_mixed_norm(g: SampledField, q, s, r) -> float:
 
 def truncate(F: SampledField, R: float) -> SampledField:
     """Zero out nodes with |z| >= R or |F(z)| >= R (both cutoffs strict)."""
+    _field(F, "truncate")
     R = _real(R, "R", 0)
     radius2 = np.empty(F.values.size)
     for blk, nodes in _node_blocks(F.grid):
@@ -442,6 +455,7 @@ def interpolate(f: SampledField, points: np.ndarray) -> np.ndarray:
     nodes, and points whose cell misses the grid, or with a NaN or infinite
     coordinate, give 0 without a warning.
     """
+    _field(f, "interpolate")
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != f.d:
         raise ValueError(f"points must have last dimension {f.d}")
@@ -455,6 +469,7 @@ def interpolate(f: SampledField, points: np.ndarray) -> np.ndarray:
 
 def write_field(f: SampledField, path) -> None:
     """One JSON header line, then raw little-endian float64 values, C order."""
+    _field(f, "write_field")
     header = {
         "d": f.grid.d,
         "side": f.grid.side,

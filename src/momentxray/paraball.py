@@ -45,8 +45,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exponents import Infinity, conj_exponent, inv, triple_for_theta
-from .field import (Grid, SampledField, _blocks, _integer, _lattice,
+from .exponents import _finite_q_triple, conj_exponent, inv
+from .field import (Grid, SampledField, _blocks, _field, _integer, _lattice,
                     _node_blocks, _real, gamma_eval, lp_norm, mixed_norm)
 from .symmetry import (Scale, Shear, Symmetry, Translate, _pack,
                        _scale_diagonal, _scale_jacobians, inverse, map_source,
@@ -183,9 +183,7 @@ def volume(B: Paraball) -> float:
 def dual_mixed_norm(B: Paraball, theta) -> float:
     """Mixed norm of the dual indicator chi_{B*} at the theta exponents."""
     d = B.d
-    trip = triple_for_theta(d, theta)
-    if isinstance(trip.q, Infinity):
-        raise ValueError("dual_mixed_norm needs theta > 0")
+    trip = _finite_q_triple(d, theta, "dual_mixed_norm")
     iqc = float(1 - inv(trip.q))
     irc = float(1 - inv(trip.r))
     slab = 2.0 * B.beta
@@ -512,9 +510,7 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     if delta > 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     d = B.d
-    trip = triple_for_theta(d, theta)
-    if isinstance(trip.q, Infinity):
-        raise ValueError("partition needs theta > 0")
+    trip = _finite_q_triple(d, theta, "partition")
     ir = inv(trip.r)
     irc = 1 - ir
     iqc = 1 - inv(trip.q)
@@ -648,9 +644,9 @@ def intersection_volume(Ba: Paraball, Bb: Paraball, n: int = 100_000,
 def quasi_ratio(f: SampledField, g: SampledField, theta,
                 plan: TransformPlan) -> float:
     """X(f, g) / (|f|_p |g|_{q', r'}) at the theta exponents."""
-    trip = triple_for_theta(plan.d, theta)
-    if isinstance(trip.q, Infinity):
-        raise ValueError("quasi_ratio needs theta > 0")
+    _field(f, "quasi_ratio")
+    _field(g, "quasi_ratio")
+    trip = _finite_q_triple(plan.d, theta, "quasi_ratio")
     num = bilinear(f, g, plan)
     den = lp_norm(f, trip.p) * mixed_norm(g, conj_exponent(trip.q),
                                           conj_exponent(trip.r))
@@ -672,6 +668,8 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
     penalty so ties resolve toward the tightest paraball.  Deterministic for
     fixed (starts, seed); ties across starts go to the lowest start index.
     """
+    _field(f, "fit_paraball")
+    _field(g, "fit_paraball")
     starts = _integer(starts, "starts", 1)
     eps = _real(eps, "eps", 0, strict=False)
     ratio = quasi_ratio(f, g, theta, plan)

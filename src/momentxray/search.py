@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exponents import Infinity, conj_exponent, triple_for_theta
-from .field import (_D_MIN, SampledField, _exponent, _integer, _lq,
+from .exponents import _finite_q_triple, conj_exponent
+from .field import (_D_MIN, SampledField, _exponent, _field, _integer, _lq,
                     _node_blocks, _real, _slice_r_norms, grid_from_box,
                     lp_norm, mixed_norm, write_field)
 from .paraball import raster_primal, unit_paraball
@@ -55,10 +55,7 @@ class SearchConfig:
                                _integer(getattr(self, name), name, least))
 
     def exponents(self):
-        trip = triple_for_theta(self.d, self.theta)
-        if isinstance(trip.q, Infinity):
-            raise ValueError("search needs theta > 0")
-        return trip
+        return _finite_q_triple(self.d, self.theta, "search")
 
     def plan(self) -> TransformPlan:
         """The search's transform plan: one per config, built on first call.
@@ -136,8 +133,7 @@ def dual_map(h: SampledField, q, r) -> SampledField:
     and N the mixed norm, both taken with the grid cell weights, so the
     discrete pairing identity holds to rounding.
     """
-    if h.side != "target":
-        raise ValueError("dual_map expects a target-side field")
+    _field(h, "dual_map", "target")
     qf, rf = _exponent(q, "q"), _exponent(r, "r")
     if not (1 < qf < math.inf and 1 < rf < math.inf):
         raise ValueError("dual_map needs finite q, r > 1")
@@ -224,11 +220,12 @@ def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
 
 
 def _normalized_profile(f: SampledField, p):
-    """Weights |f|^p dV and keys max(|z|, |f|/|f|_p) after re-centering."""
+    """Weights |f|^p dV and keys max(|z|, |f|/|f|_p) after re-centering;
+    at p = inf the weights are |f| dV, as normalize_symmetry takes them."""
     pf = _exponent(p, "p")
     fn = _normal_form(f, p)
     av = np.abs(fn.values).ravel()
-    w = av ** pf * fn.grid.cell_volume
+    w = av ** (1.0 if math.isinf(pf) else pf) * fn.grid.cell_volume
     tot = w.sum()
     if tot == 0:
         raise ValueError("localization needs a nonzero field")
@@ -243,6 +240,7 @@ def _normalized_profile(f: SampledField, p):
 def r95_radius(f: SampledField, p, quantile: float = 0.95) -> float:
     """Smallest R with at least the given fraction of |f|^p mass in
     {|z| <= R} intersect {f <= R |f|_p}; 0 < quantile <= 1."""
+    _field(f, "r95_radius")
     quantile = _real(quantile, "quantile", 0)
     if quantile > 1:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile!r}")
@@ -257,6 +255,7 @@ def r95_radius(f: SampledField, p, quantile: float = 0.95) -> float:
 def localization_report(f: SampledField, p, R: float) -> float:
     """Fraction of |f|^p mass outside {|z| <= R} intersect {f <= R |f|_p},
     measured after symmetry re-centering; R >= 0."""
+    _field(f, "localization_report")
     R = _real(R, "R", 0, strict=False)
     key, w = _normalized_profile(f, p)
     return float(w[key > R].sum())

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (_D_MIN, Grid, SampledField, _exponent, _integer,
+from .field import (_D_MIN, Grid, SampledField, _exponent, _field, _integer,
                     _interpolator, _lattice, _moments, _node_blocks, _real,
                     gamma_eval, grid_from_box)
 
@@ -195,8 +195,12 @@ def map_target(sigma: Symmetry, point) -> np.ndarray:
             z[1:] *= _scale_diagonal(st.alpha, st.beta, d)[:, None]
         else:
             G = shear_matrix(d, st.t0).entries
-            for m, power in enumerate(_moments(z[0], d), 1):
-                z[m] -= st.s0 * power
+            # s0 gamma(t) is zero at s0 = 0 (or the -0.0 of inverse):
+            # skipping it changes only the sign of a zero coordinate, which
+            # locate maps like +0, and a NaN of 0 * inf
+            if st.s0 != 0:
+                for m, power in enumerate(_moments(z[0], d), 1):
+                    z[m] -= st.s0 * power
             z[1:] = (z[1:].T @ G.T).T
             z[0] += st.t0
     return _as_points(shape, z)
@@ -304,6 +308,7 @@ def pullback_source(sigma: Symmetry, f: SampledField, p,
     _pullback), and a Jacobian past the float range still gives its 1/p
     power when that is a float (see _jacobian_power).
     """
+    _field(f, "pullback_source", "source")
     pf = _exponent(p, "p")
     if not sigma.steps and out_grid is None:
         return f
@@ -317,6 +322,7 @@ def pullback_target(sigma: Symmetry, g: SampledField, q, r,
                     out_grid: Grid | None = None) -> SampledField:
     """(psi^* g)(t, y) = psi_1'^{1/q'} J_psi'^{1/r'} g(psi(t, y)), resampled
     as pullback_source resamples."""
+    _field(g, "pullback_target", "target")
     qf, rf = _exponent(q, "q"), _exponent(r, "r")
     if not sigma.steps and out_grid is None:
         return g
@@ -346,8 +352,7 @@ def normalize_symmetry(f: SampledField, p) -> Symmetry:
     leave the corresponding factor at 1.  For p = inf the weights are |f|^1,
     a fixed choice: |f|^p has no useful limit as p grows.
     """
-    if f.side != "source":
-        raise ValueError("normalize_symmetry expects a source-side field")
+    _field(f, "normalize_symmetry", "source")
     d = f.d
     pf = _exponent(p, "p")
     w = np.abs(f.values) ** (1.0 if math.isinf(pf) else pf)

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import triple_for_theta
-from .field import (Grid, SampledField, _integer, gamma_eval, lp_norm,
+from .field import (Grid, SampledField, _field, _integer, gamma_eval, lp_norm,
                     mixed_norm)
 
 
@@ -471,30 +471,29 @@ def _sweep(values: np.ndarray, plan: TransformPlan, adjoint: bool):
 
 def apply_X(f: SampledField, plan: TransformPlan) -> SampledField:
     """Forward transform onto the plan's target grid."""
-    if f.grid != plan.source_grid:
-        raise ValueError("field grid does not match the plan's source grid")
+    _field(f, "apply_X", "source", grid=plan.source_grid)
     return SampledField(grid=plan.target_grid,
                         values=_sweep(f.values, plan, adjoint=False))
 
 
 def apply_X_star(g: SampledField, plan: TransformPlan) -> SampledField:
     """Adjoint transform onto the plan's source grid."""
-    if g.grid != plan.target_grid:
-        raise ValueError("field grid does not match the plan's target grid")
+    _field(g, "apply_X_star", "target", grid=plan.target_grid)
     return SampledField(grid=plan.source_grid,
                         values=_sweep(g.values, plan, adjoint=True))
 
 
 def bilinear(f: SampledField, g: SampledField, plan: TransformPlan) -> float:
     """The pairing integral of Xf against g over the target grid."""
-    if g.grid != plan.target_grid:
-        raise ValueError("field grid does not match the plan's target grid")
+    _field(f, "bilinear", "source", grid=plan.source_grid)
+    _field(g, "bilinear", "target", grid=plan.target_grid)
     Xf = apply_X(f, plan)
     return float((Xf.values * g.values).sum() * plan.target_grid.cell_volume)
 
 
 def phi_functional(f: SampledField, theta, plan: TransformPlan) -> float:
     """Rayleigh quotient: mixed norm of Xf over the L^p norm of f."""
+    _field(f, "phi_functional")
     trip = triple_for_theta(plan.d, theta)
     denom = lp_norm(f, trip.p)
     if denom == 0:

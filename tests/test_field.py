@@ -1,6 +1,7 @@
 """Grids, sampled fields, the moment curve, and the norm functionals."""
 
 import math
+import os
 import warnings
 from dataclasses import astuple
 from fractions import Fraction
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentxray.decomposition import (dyadic_decompose, slab_decompose,
+from momentxray import decomposition as decomposition_module
+from momentxray import field as field_module
+from momentxray import paraball as paraball_module
+from momentxray import search as search_module
+from momentxray import symmetry as symmetry_module
+from momentxray import xray as xray_module
+from momentxray.decomposition import (combined_decompose, dyadic_decompose,
+                                      reconstruct, slab_decompose,
                                       trim_frequency)
 from momentxray.exponents import INF, as_float, theta_zero, triple_for_theta
 from momentxray.field import (
@@ -33,12 +41,15 @@ from momentxray.field import (
     truncate,
     write_field,
 )
-from momentxray.paraball import Paraball, partition, unit_paraball
+from momentxray.paraball import (Paraball, fit_paraball, partition,
+                                 quasi_ratio, unit_paraball)
 from momentxray.search import (SearchConfig, dual_map, localization_report,
                                r95_radius)
 from momentxray.symmetry import (Scale, Shear, Symmetry, Translate,
                                  normalize_symmetry, pullback_source,
                                  pullback_target, shear_matrix)
+from momentxray.xray import (TransformPlan, apply_X, apply_X_star, bilinear,
+                             phi_functional)
 
 from conftest import box_grid, non_exponents, non_reals
 
@@ -1034,6 +1045,173 @@ class TestDimensionRule:
         else:
             assert got == want
         assert type(MomentCurve(np.int64(4)).d) is int
+
+
+# every field-argument site, "function.argument": a call of the function
+# on (f, g, plan, sigma) with that argument set to x and the others valid,
+# and the side, plan grid ("source" / "target" / None) and sign the rule
+# (field._field) asks of x there
+FIELD_SITES = {
+    "lp_norm.f": (lambda f, g, pl, sig, x: lp_norm(x, 2), None, None, False),
+    "mixed_norm.g": (lambda f, g, pl, sig, x: mixed_norm(x, 2, 2),
+                     "target", None, True),
+    "lorentz_source_norm.f": (
+        lambda f, g, pl, sig, x: lorentz_source_norm(x, 2, 2),
+        "source", None, True),
+    "lorentz_mixed_norm.g": (
+        lambda f, g, pl, sig, x: lorentz_mixed_norm(x, 2, 2, 2),
+        "target", None, True),
+    "truncate.F": (lambda f, g, pl, sig, x: truncate(x, 1.0),
+                   None, None, False),
+    "interpolate.f": (
+        lambda f, g, pl, sig, x: interpolate(x, np.zeros((1, 3))),
+        None, None, False),
+    "write_field.f": (lambda f, g, pl, sig, x: write_field(x, "unwritten"),
+                      None, None, False),
+    "dyadic_decompose.f": (lambda f, g, pl, sig, x: dyadic_decompose(x),
+                           None, None, True),
+    "slab_decompose.g": (lambda f, g, pl, sig, x: slab_decompose(x, 2),
+                         "target", None, True),
+    "combined_decompose.g": (
+        lambda f, g, pl, sig, x: combined_decompose(x, 2, 2),
+        "target", None, True),
+    "reconstruct.f": (lambda f, g, pl, sig, x: reconstruct([], x),
+                      None, None, False),
+    "trim_frequency.f": (lambda f, g, pl, sig, x: trim_frequency(x, 1),
+                         None, None, False),
+    "apply_X.f": (lambda f, g, pl, sig, x: apply_X(x, pl),
+                  "source", "source", False),
+    "apply_X_star.g": (lambda f, g, pl, sig, x: apply_X_star(x, pl),
+                       "target", "target", False),
+    "bilinear.f": (lambda f, g, pl, sig, x: bilinear(x, g, pl),
+                   "source", "source", False),
+    "bilinear.g": (lambda f, g, pl, sig, x: bilinear(f, x, pl),
+                   "target", "target", False),
+    "phi_functional.f": (
+        lambda f, g, pl, sig, x: phi_functional(x, Fraction(5, 6), pl),
+        None, None, False),
+    "normalize_symmetry.f": (
+        lambda f, g, pl, sig, x: normalize_symmetry(x, 2),
+        "source", None, False),
+    "pullback_source.f": (
+        lambda f, g, pl, sig, x: pullback_source(sig, x, 2),
+        "source", None, False),
+    "pullback_target.g": (
+        lambda f, g, pl, sig, x: pullback_target(sig, x, 2, 2),
+        "target", None, False),
+    "dual_map.h": (lambda f, g, pl, sig, x: dual_map(x, 2, 2),
+                   "target", None, False),
+    "r95_radius.f": (lambda f, g, pl, sig, x: r95_radius(x, 2),
+                     None, None, False),
+    "localization_report.f": (
+        lambda f, g, pl, sig, x: localization_report(x, 2, 1.0),
+        None, None, False),
+    "quasi_ratio.f": (
+        lambda f, g, pl, sig, x: quasi_ratio(x, g, Fraction(5, 6), pl),
+        None, None, False),
+    "quasi_ratio.g": (
+        lambda f, g, pl, sig, x: quasi_ratio(f, x, Fraction(5, 6), pl),
+        None, None, False),
+    "fit_paraball.f": (
+        lambda f, g, pl, sig, x: fit_paraball(x, g, Fraction(5, 6), pl),
+        None, None, False),
+    "fit_paraball.g": (
+        lambda f, g, pl, sig, x: fit_paraball(f, x, Fraction(5, 6), pl),
+        None, None, False),
+}
+
+def _field_cases():
+    """pytest params (site, case) of every refusal that applies at a site."""
+    cases = []
+    for site, (_, side, grid, nonnegative) in FIELD_SITES.items():
+        applies = ["ndarray", "list", "none"]
+        applies += ["wrong-side"] if side else []
+        applies += ["wrong-grid"] if grid else []
+        applies += ["negative"] if nonnegative else []
+        cases += [pytest.param(site, case, id=f"{site}-{case}")
+                  for case in applies]
+    return cases
+
+
+@pytest.fixture
+def no_work(monkeypatch, tmp_path):
+    """Make the transform sweeps, pullbacks, norm passes and the level,
+    node and spread passes fail if reached, in a fresh working directory
+    (write_field's "unwritten" path lands there)."""
+    def reached(*args, **kwargs):
+        raise AssertionError("work started before the field check")
+
+    monkeypatch.chdir(tmp_path)
+    names = ("_sweep", "_pullback", "_lq", "_level_indices", "_node_blocks",
+             "_interpolator", "_slice_integrals", "_slice_r_norms",
+             "_weighted_iqr")
+    for module in (field_module, decomposition_module, paraball_module,
+                   search_module, symmetry_module, xray_module):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, reached)
+
+
+class TestFieldRule:
+    """field._field is the one field-argument rule: a non-field, a field on
+    the wrong side, off the plan's grid, or with a negative value where a
+    norm needs nonnegative values raises one ValueError before any work."""
+
+    @staticmethod
+    def _inputs(site):
+        """(f, g, plan, sigma, x): positive 4^3 fields on a plan's grids, a
+        scale (no pullback takes its identity shortcut) and the site's valid
+        argument x, g for a target-side site or an argument named g."""
+        f, g, sig = _exponent_fields()
+        side = FIELD_SITES[site][1]
+        x = g if side == "target" or site.endswith(".g") else f
+        return f, g, TransformPlan(f.grid, g.grid), sig, x
+
+    @staticmethod
+    def _bad_value(case, x, f, g):
+        if case == "negative":
+            vals = x.values.copy()
+            vals.flat[5] = -0.5
+            return x.with_values(vals)
+        if case == "wrong-grid":
+            return SampledField(box_grid(x.side, -2, 2, 4), x.values)
+        return {"ndarray": np.ones((4, 4, 4)), "list": [[1.0]], "none": None,
+                "wrong-side": f if x is g else g}[case]
+
+    @pytest.mark.parametrize("site,case", _field_cases())
+    def test_site_refuses(self, no_work, site, case):
+        call, side, grid, _ = FIELD_SITES[site]
+        name = site.split(".")[0]
+        f, g, plan, sig, x = self._inputs(site)
+        message = {
+            "ndarray": rf"^{name} expects a SampledField, got ndarray$",
+            "list": rf"^{name} expects a SampledField, got list$",
+            "none": rf"^{name} expects a SampledField, got NoneType$",
+            "wrong-side": rf"^{name} expects a {side}-side field$",
+            "wrong-grid":
+                rf"^field grid does not match the plan's {grid} grid$",
+            "negative": rf"^{name} requires nonnegative values$",
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            call(f, g, plan, sig, self._bad_value(case, x, f, g))
+        assert not os.path.exists("unwritten")
+
+    @pytest.mark.parametrize("site", FIELD_SITES)
+    def test_valid_fields_reach_the_work(self, no_work, site):
+        # so a refusal above shows that the check runs before the work;
+        # reconstruct's work, the sum over no pieces, has no pass to catch
+        f, g, plan, sig, x = self._inputs(site)
+        if site == "reconstruct.f":
+            assert reconstruct([], x).grid == x.grid
+        elif site == "write_field.f":
+            FIELD_SITES[site][0](f, g, plan, sig, x)
+            assert os.path.exists("unwritten")
+        else:
+            with pytest.raises(AssertionError, match="^work started"):
+                FIELD_SITES[site][0](f, g, plan, sig, x)
+
+    def test_every_public_site_is_listed(self):
+        assert len({site.split(".")[0] for site in FIELD_SITES}) == 24
 
 
 class TestFieldIO:

@@ -472,6 +472,26 @@ class TestLocalization:
         assert key.tobytes() == want_key.tobytes()
         assert w.tobytes() == (want_w / want_w.sum()).tobytes()
 
+    @pytest.mark.parametrize("value", [2.0, 0.5])
+    def test_infinite_p_weights_by_abs_f(self, value):
+        # |f|^p at p = inf gave inf / inf ("invalid value encountered in
+        # divide") for a field of 2.0 and a zero mass for a field of 0.5;
+        # the weights are |f| dV, as normalize_symmetry takes them
+        g = box_grid("source", -1, 1, 4)
+        f = SampledField(g, np.full((4, 4, 4), value))
+        fn = _normal_form(f, INF)
+        av = np.abs(fn.values).ravel()
+        want_w = av * fn.grid.cell_volume
+        radii = np.linalg.norm(fn.grid.nodes().reshape(-1, 3), axis=1)
+        want_key = np.maximum(radii, av / av.max())
+        key, w = _normalized_profile(f, INF)
+        assert key.tobytes() == want_key.tobytes()
+        assert w.tobytes() == (want_w / want_w.sum()).tobytes()
+        for R in (0.0, 0.5, 1.0, 1.5):
+            assert localization_report(f, INF, R) == float(w[key > R].sum())
+        assert r95_radius(f, INF) == r95_radius(f.with_values(
+            np.ones((4, 4, 4))), INF)
+
     def test_r95_traced_peak_at_d4(self):
         # measured 3.1 MB; the full node lattice took 6.5 MB
         f = self._skewed(4, 16, 48)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from momentxray import symmetry as symmetry_module
 from momentxray.exponents import INF
 from momentxray.field import (SampledField, gamma_eval, grid_from_box,
                               interpolate, lp_norm)
@@ -326,6 +327,29 @@ class TestPullbacks:
             assert 1.0 <= errs[32] / errs[64] <= 3.0
 
 
+class TestPullbackSide:
+    """Each pullback refuses a field of the other side, also where the
+    identity shortcut would have returned it unchanged."""
+
+    @pytest.mark.parametrize("sigma", [identity(),
+                                       Symmetry((Scale(2.0, 1.0),))],
+                             ids=["identity", "scale"])
+    def test_source_pullback_refuses_a_target_field(self, sigma):
+        g = SampledField(box_grid("target", -1, 1, 4), np.ones((4, 4, 4)))
+        with pytest.raises(ValueError,
+                           match="^pullback_source expects a source-side"):
+            pullback_source(sigma, g, 2)
+
+    @pytest.mark.parametrize("sigma", [identity(),
+                                       Symmetry((Scale(2.0, 1.0),))],
+                             ids=["identity", "scale"])
+    def test_target_pullback_refuses_a_source_field(self, sigma):
+        f = SampledField(box_grid("source", -1, 1, 4), np.ones((4, 4, 4)))
+        with pytest.raises(ValueError,
+                           match="^pullback_target expects a target-side"):
+            pullback_target(sigma, f, 2, 2)
+
+
 class TestNormalizeSymmetry:
     def test_neutral_cube_near_identity(self):
         g = box_grid("source", -1, 1, 24)
@@ -451,6 +475,40 @@ def _composition(rng, d):
     ]
     kinds = list(rng.permutation(3)) + list(rng.integers(0, 3, 3))
     return Symmetry(tuple(make[k]() for k in kinds[:3 + rng.integers(4)]))
+
+
+class TestShearWithoutS0:
+    """map_target skips s0 gamma(t) for a Shear with s0 = 0.0 or -0.0 (as
+    inverse makes): it gives the points of the map that keeps the term
+    (_row_map), up to the sign of a zero, and the same pullback bytes."""
+
+    @pytest.mark.parametrize("s0", [0.0, -0.0], ids=["zero", "minus-zero"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_same_points_as_the_kept_term(self, d, s0):
+        rng = np.random.default_rng(640 + d)
+        pts = rng.uniform(-3.0, 3.0, (2000, d))
+        pts[:50] = 0.0
+        pts[50:100, 0] = 0.0
+        for t0 in (0.04, -0.04, 1.3):
+            sigma = Symmetry((Shear(s0, t0),))
+            assert np.array_equal(map_target(sigma, pts),
+                                  _row_map(sigma, pts, True))
+
+    @pytest.mark.parametrize("t0", [0.04, -0.04])
+    def test_pairing_pullback_bytes(self, monkeypatch, t0):
+        # the pairing workload's sigma on a 16^3 target field
+        rng = np.random.default_rng(641)
+        g = _bump_field(rng, "target", 3, 16)
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        sigma = Symmetry((Translate((0.1 * math.cos(ang),
+                                     0.1 * math.sin(ang))),
+                          Shear(0.0, t0)))
+        got = pullback_target(sigma, g, Fraction(5, 2), 3)
+        monkeypatch.setattr(symmetry_module, "map_target",
+                            lambda sig, pts: _row_map(sig, pts, True))
+        want = pullback_target(sigma, g, Fraction(5, 2), 3)
+        assert got.grid == want.grid
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestColumnLayout:
