@@ -11,27 +11,32 @@ the unit-frame net centres), the mock distance between paraballs, Monte
 Carlo intersection volume, the quasi-extremal ratio, and a fitter that
 localizes a near-extremal pair.
 
-Four hot paths avoid repeated work without changing a byte of output.  The
+The hot paths avoid repeated work without changing a byte of output.  The
 greedy nets behind a partition depend only on (d, eta1, eta2), so a process
 builds each triple once and keeps the last _NET_CACHE_SIZE of them, read-only
 (see _nets).  intersection_volume's Monte Carlo draws, and which of them lie
 in the smaller ball, depend only on (smaller ball, n, seed), so a process
-keeps one such sample, read-only, and a call against the same ball only
-tests the larger one (see _box_sample; one entry of at most n d 8 bytes).
-Band tests take one band column at a time, with the same float
-operations in the same order as the stacked form (see _band_columns).  Point
-queries (membership, Cover.contains, intersection_volume) run in
-field._blocks, and rasters over field._node_blocks, one coordinate column
-at a time: the unit-frame maps return contiguous coordinates (see
-symmetry's column rule), and _band_columns' v = x - ybar - s gamma(t0),
-the lattice index of _Net.query and intersection_volume's box scaling are
-built per coordinate.  Each element
-gets the float operations of the per-point form, so the outputs are those
-of the row layout to the byte.  gamma's first component is t itself, which
-is exact because numpy's array power is exact at exponent 1; its higher
-components keep numpy's array power through an exponent array, because
-with a scalar exponent numpy squares for m = 2 and differs in the last bit
-(see field.gamma_eval).
+keeps one such sample as one read-only array, and a call against the same
+ball makes one membership call of the larger one on it (see _box_sample;
+one entry of at most n d 8 bytes).  Each derived term is built once per
+owner: a Paraball keeps its band terms gamma(t0), (-t0)^k, alpha beta^m and
+G_{-t0} (see Paraball._terms), which membership and mock_distance read;
+Cover.contains builds the terms its blocks share once per call, the
+unit-frame map's step terms included (see symmetry._point_map); partition
+evaluates gamma once per t-net point.  Band tests take one band column at a
+time, with the same float operations in the same order as the stacked form
+(see _band_columns).  Point queries (membership, Cover.contains,
+intersection_volume) run in field._blocks, and rasters over
+field._node_blocks, one coordinate column at a time: the unit-frame maps
+return contiguous coordinates (see symmetry's column rule), and
+_band_columns' v = x - ybar - s gamma(t0), the lattice index of _Net.query
+and intersection_volume's box scaling are built per coordinate.  Each
+element gets the float operations of the per-point form, so the outputs are
+those of the row layout to the byte.  gamma's first component is t itself,
+which is exact because numpy's array power is exact at exponent 1; its
+higher components keep numpy's array power through an exponent array,
+because with a scalar exponent numpy squares for m = 2 and differs in the
+last bit (see field.gamma_eval).
 """
 
 from __future__ import annotations
@@ -42,13 +47,14 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .exponents import _finite_q_triple, conj_exponent, inv
 from .field import (Grid, SampledField, _blocks, _field, _integer, _lattice,
                     _node_blocks, _real, gamma_eval, lp_norm, mixed_norm)
-from .symmetry import (Scale, Shear, Symmetry, Translate, _pack,
+from .symmetry import (Scale, Shear, Symmetry, Translate, _pack, _point_map,
                        _scale_diagonal, _scale_jacobians, inverse, map_source,
                        map_target, shear_matrix)
 from .xray import TransformPlan, bilinear
@@ -59,8 +65,26 @@ from .xray import TransformPlan, bilinear
 _NET_CACHE_SIZE = 4
 
 
+class _BallTerms(NamedTuple):
+    """A paraball's band terms, read-only (see Paraball._terms)."""
+
+    ybar: np.ndarray    # the centre's y, as an array
+    gamma: np.ndarray   # gamma(t0)
+    powers: tuple       # (-t0)^k, k < d - 1
+    bands: np.ndarray   # alpha beta^m, m = 1..d-1
+    shear: np.ndarray   # G_{-t0}
+
+
 @dataclass(frozen=True)
 class Paraball:
+    """B(s0, t0, ybar, alpha, beta); every parameter follows the real-number
+    rule (field._real), and the widths alpha, beta are > 0.
+
+    The band terms that membership (and so intersection_volume and the
+    rasters) and mock_distance read are built once per instance, on first
+    use, and kept on it (see _terms).
+    """
+
     s0: float
     t0: float
     ybar: tuple
@@ -81,6 +105,27 @@ class Paraball:
     def d(self) -> int:
         return len(self.ybar) + 1
 
+    @functools.cached_property
+    def _terms(self) -> _BallTerms:
+        """ybar as an array, gamma(t0), the powers (-t0)^k for k < d - 1,
+        the bands alpha beta^m and G_{-t0}, built on first use and kept.
+
+        As TransformPlan keeps its schedules: they are not fields, so ==,
+        hash and repr ignore them, and each of two -0.0 twins keeps the
+        terms of its own bits.  The arrays are read-only.  A gamma(t0) past
+        the float range is inf without a warning, as in mock_distance; a
+        power (-t0)^k or an entry of G_{-t0} past it raises OverflowError.
+        """
+        d = self.d
+        ybar = np.asarray(self.ybar)
+        with np.errstate(over="ignore"):
+            gamma, powers = _centre_terms(self.t0, d, "primal")
+        bands = _scale_diagonal(self.alpha, self.beta, d)
+        for arr in (ybar, gamma, bands):
+            arr.flags.writeable = False
+        return _BallTerms(ybar, gamma, powers, bands,
+                          shear_matrix(d, -self.t0).entries)
+
 
 def unit_paraball(d: int) -> Paraball:
     return Paraball(0.0, 0.0, (0.0,) * (d - 1), 1.0, 1.0)
@@ -100,10 +145,12 @@ def _check_side(side: str) -> None:
 
 def _centre_terms(t0, d: int, side: str):
     """The band test's terms that depend on t0 alone: gamma(t0) on the
-    primal side (None on the dual side) and the powers (-t0)^k, k < d - 1."""
+    primal side (None on the dual side) and the powers (-t0)^k, k < d - 1.
+    A paraball keeps its own (Paraball._terms); Cover.contains builds those
+    of its primal lookup and of its miss scan once per call."""
     neg = -t0
     return (gamma_eval(d, t0) if side == "primal" else None,
-            [neg ** k for k in range(d - 1)])
+            tuple(neg ** k for k in range(d - 1)))
 
 
 def _band_columns(lead, rest, s0, t0, ybar, side: str, terms=None):
@@ -138,20 +185,24 @@ def _band_columns(lead, rest, s0, t0, ybar, side: str, terms=None):
     return slab, cols
 
 
-def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str, terms=None):
+def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str, terms=None,
+            bands=None):
     """Strict slab condition on the lead coordinate, closed band conditions.
 
     The band conditions are ANDed in one column at a time.  A dual point
     outside the slab is outside whatever its bands say, so its band columns
     are taken at the slab centre t0: its term s0 (t - t0)^m would overflow
-    once |t - t0| passes about 1e154 (1e102 at d = 4).
+    once |t - t0| passes about 1e154 (1e102 at d = 4).  ``terms`` is as in
+    _band_columns, and ``bands`` is _scale_diagonal(alpha, beta, d), when
+    the caller has them.
     """
     centre, width = (s0, alpha) if side == "primal" else (t0, beta)
     ok = np.abs(lead - centre) < width
     if side == "dual":
         lead = np.where(ok, lead, t0)
     _, cols = _band_columns(lead, rest, s0, t0, ybar, side, terms)
-    bands = _scale_diagonal(alpha, beta, len(cols) + 1)
+    if bands is None:
+        bands = _scale_diagonal(alpha, beta, len(cols) + 1)
     for col, band in zip(cols, bands):
         ok &= np.abs(col) <= band
     return ok
@@ -162,17 +213,18 @@ def membership(B: Paraball, point, side: str = "primal"):
 
     The slab condition on the first coordinate is strict and the band
     conditions (see _band_columns) are closed.  A single point gives a bool,
-    points of shape S + (d,) an array of shape S, tested in _blocks.
+    points of shape S + (d,) an array of shape S, tested in _blocks.  Every
+    block reads B's kept band terms (Paraball._terms), built once per ball.
     """
     _check_side(side)
     z = _pack_points(point, B.d)
     flat = z.reshape(-1, B.d)
-    ybar = np.asarray(B.ybar)
+    kept = B._terms
     ok = np.empty(len(flat), dtype=bool)
     for blk in _blocks(len(flat)):
         zb = flat[blk]
-        ok[blk] = _inside(zb[:, 0], zb[:, 1:], B.s0, B.t0, ybar, B.alpha,
-                          B.beta, side)
+        ok[blk] = _inside(zb[:, 0], zb[:, 1:], B.s0, B.t0, kept.ybar, B.alpha,
+                          B.beta, side, (kept.gamma, kept.powers), kept.bands)
     return bool(ok[0]) if z.ndim == 1 else ok.reshape(z.shape[:-1])
 
 
@@ -438,16 +490,24 @@ class Cover:
         lattice lookup; the points that lookup misses are then tested
         against every member.  A point that is not finite raises ValueError;
         a finite point whose unit-frame image leaves the float range lies
-        outside every member and gives False.
+        outside every member and gives False.  The terms every block shares
+        are built once per call: the unit-frame map's step terms (see
+        symmetry._point_map), the members' bands and, on the primal side,
+        the centre terms of t-net point 0, the only one the lookup takes.
         """
         _check_side(side)
         d = self.base.d
         z = _pack_points(points, d)
         shape = z.shape[:-1] if z.ndim > 1 else (1,)
         z = z.reshape(-1, d)
-        fmap = map_source if side == "primal" else map_target
         unit = inverse(to_symmetry(self.base), d)
+        # the map's terms, like the images below, may leave the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            fmap = _point_map(unit, d, side == "dual")
         a, b = 2.0 * self.eta1, 2.0 * self.eta2
+        bands = _scale_diagonal(a, b, d)
+        terms = (_centre_terms(self.t_net[0], d, side) if side == "primal"
+                 else None)
         ok = np.zeros(len(z), dtype=bool)
         far = None  # the points whose image overflowed, once there is one
         missed = []
@@ -455,7 +515,7 @@ class Cover:
             # a far point's image may overflow; the images are screened
             # below, and the errstate covers the mapping alone
             with np.errstate(over="ignore", invalid="ignore"):
-                u = fmap(unit, z[blk])
+                u = fmap(z[blk])
             keep = slice(None)
             if not np.isfinite(u).all():
                 if not np.isfinite(z[blk]).all():
@@ -472,7 +532,7 @@ class Cover:
             j = self._s_index.query(lead) if side == "primal" else 0
             k = 0 if side == "primal" else self._t_index.query(lead)
             hit = _inside(lead, rest, self.s_net[j], self.t_net[k],
-                          self.y_net[i], a, b, side)
+                          self.y_net[i], a, b, side, terms, bands)
             ok[blk][keep] = hit
             if not hit.all():
                 missed.append(u[~hit])
@@ -482,7 +542,8 @@ class Cover:
             S, T, Y = _member_centres(self.s_net, self.t_net, self.y_net)
             terms = _centre_terms(T, d, side)
             scan = ~ok if far is None else ~(ok | far)
-            ok[scan] = [_inside(p[0], p[1:], S, T, Y, a, b, side, terms).any()
+            ok[scan] = [_inside(p[0], p[1:], S, T, Y, a, b, side, terms,
+                               bands).any()
                        for p in np.concatenate(missed)]
         return ok.reshape(shape)
 
@@ -505,6 +566,9 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     most _NET_CACHE_SIZE triples kept.  Only a process that partitions at
     the same (d, delta, theta) more than once gains from the cache; a
     one-shot ``momentxray partition`` run still builds its nets once.
+    gamma is evaluated once per t-net point and repeated over the members,
+    whose index runs fastest over k: numpy's power works per element, so
+    each member gets the floats of gamma_eval at its own t_k.
     """
     delta = _real(delta, "delta", 0)
     if delta > 1:
@@ -525,9 +589,10 @@ def partition(B: Paraball, delta: float, theta) -> Cover:
     # (s_j, y_i + s_j gamma(t_k)) and (t_k, y_i); its image under B's
     # symmetry reads off the member's normal form as in from_symmetry
     sigma = to_symmetry(B)
-    g = gamma_eval(d, T)
+    g = gamma_eval(d, t)
+    reps = len(T) // len(t)
     src = map_source(sigma, np.column_stack(
-        [S] + [Y[:, m] + S * g[:, m] for m in range(d - 1)]))
+        [S] + [Y[:, m] + S * np.tile(g[:, m], reps) for m in range(d - 1)]))
     tgt = map_target(sigma, np.column_stack([T, Y]))
     members = _Members(src[:, 0], tgt[:, 0], tgt[:, 1:],
                        2 * eta1 * B.alpha, 2 * eta2 * B.beta)
@@ -561,7 +626,9 @@ def mock_distance(Ba: Paraball, Bb: Paraball) -> float:
 
 
 def _mock_terms(Ba: Paraball, Bb: Paraball, d: int) -> float:
-    """mock_distance's nine terms, summed; the caller handles overflow."""
+    """mock_distance's nine terms, summed; the caller handles overflow.
+    Each ball's gamma(t0), G_{-t0}, powers of -t0 and bands are its kept
+    terms (Paraball._terms)."""
     Va = _scale_jacobians(Ba.alpha, Ba.beta, d)[1]
     Vb = _scale_jacobians(Bb.alpha, Bb.beta, d)[1]
     total = max(Va, Vb) / min(Va, Vb)
@@ -570,24 +637,22 @@ def _mock_terms(Ba: Paraball, Bb: Paraball, d: int) -> float:
     total += abs(Ba.s0 - Bb.s0) * (1.0 / Ba.alpha + 1.0 / Bb.alpha)
     total += abs(Ba.t0 - Bb.t0) * (1.0 / Ba.beta + 1.0 / Bb.beta)
 
-    def primal_offset(A, Bo, gA, gBo):
+    def primal_offset(A, Bo):
         # grouped as differences so coincident paraballs give exactly zero
-        G = shear_matrix(d, -A.t0).entries
-        v = np.asarray(Bo.ybar) - np.asarray(A.ybar) + Bo.s0 * (gBo - gA)
-        return float(np.sum(np.abs(G @ v)
-                            / _scale_diagonal(A.alpha, A.beta, d)))
+        a, o = A._terms, Bo._terms
+        v = o.ybar - a.ybar + Bo.s0 * (o.gamma - a.gamma)
+        return float(np.sum(np.abs(a.shear @ v) / a.bands))
 
     def dual_offset(A, Bo):
         # band coordinates of Bo's dual centre (t0, ybar) in A's dual frame
-        _, cols = _band_columns(Bo.t0, np.asarray(Bo.ybar), A.s0, A.t0,
-                                np.asarray(A.ybar), "dual")
-        return float(np.sum(np.abs(cols)
-                            / _scale_diagonal(A.alpha, A.beta, d)))
+        a = A._terms
+        _, cols = _band_columns(Bo.t0, Bo._terms.ybar, A.s0, A.t0, a.ybar,
+                                "dual", (None, a.powers))
+        return float(np.sum(np.abs(cols) / a.bands))
 
     # mirrored offsets are paired before accumulating so the sum is exactly
     # symmetric under swapping the arguments
-    ga, gb = gamma_eval(d, Ba.t0), gamma_eval(d, Bb.t0)
-    total += primal_offset(Ba, Bb, ga, gb) + primal_offset(Bb, Ba, gb, ga)
+    total += primal_offset(Ba, Bb) + primal_offset(Bb, Ba)
     total += dual_offset(Ba, Bb) + dual_offset(Bb, Ba)
     return float(total)
 
@@ -598,10 +663,10 @@ def _box_sample(small: Paraball, n: int, seed: int):
 
     The n draws come in _blocks from one generator, so the sample stream is
     that of one full draw, and are scaled onto the box one coordinate column
-    at a time.  The points inside small are kept as read-only arrays, one
-    per block.  Cached per process with one entry, keyed on (small, n,
-    seed): the entry holds at most n d 8 bytes of points (2.4 MB at
-    n = 100 000, d = 3).
+    at a time.  The points inside small are kept as one read-only (N, d)
+    array, in draw order, built here once per key.  Cached per process with
+    one entry, keyed on (small, n, seed): the entry holds at most n d 8
+    bytes of points (2.4 MB at n = 100 000, d = 3).
     """
     lo, hi = primal_bbox(small)
     width = hi - lo
@@ -612,10 +677,10 @@ def _box_sample(small: Paraball, n: int, seed: int):
         cols = np.empty((small.d, len(u)))
         for k, col in enumerate(cols):
             np.add(u[:, k] * width[k], lo[k], out=col)
-        pts = cols.T[membership(small, cols.T, "primal")]
-        pts.flags.writeable = False
-        inside.append(pts)
-    return float(np.prod(width)), tuple(inside)
+        inside.append(cols.T[membership(small, cols.T, "primal")])
+    kept = np.concatenate(inside)
+    kept.flags.writeable = False
+    return float(np.prod(width)), kept
 
 
 def intersection_volume(Ba: Paraball, Bb: Paraball, n: int = 100_000,
@@ -625,10 +690,10 @@ def intersection_volume(Ba: Paraball, Bb: Paraball, n: int = 100_000,
     Samples the bounding box of the smaller paraball; resolution is limited
     by n, so disjoint-looking pairs can return exactly 0.  n and seed are
     integers (see field._integer).  The draws that land in the smaller ball
-    depend only on (smaller ball, n, seed), so they are kept by _box_sample,
-    which holds one such sample (at most n d 8 bytes); repeated calls
-    against one ball only test the larger ball on them, and every estimate
-    is that of a fresh draw.
+    depend only on (smaller ball, n, seed), so they are kept by _box_sample
+    as one array, which holds one such sample (at most n d 8 bytes);
+    repeated calls against one ball make one membership call of the larger
+    ball on it, and every estimate is that of a fresh draw.
     """
     if Ba.d != Bb.d:
         raise ValueError("paraballs must share a dimension")
@@ -636,8 +701,7 @@ def intersection_volume(Ba: Paraball, Bb: Paraball, n: int = 100_000,
     small, large = (Ba, Bb) if volume(Ba) <= volume(Bb) else (Bb, Ba)
     box_vol, inside = _box_sample(small, n, _integer(seed, "seed"))
     # membership is pointwise, so the larger ball sees only the hits
-    hits = sum(np.count_nonzero(membership(large, pts, "primal"))
-               for pts in inside)
+    hits = np.count_nonzero(membership(large, inside, "primal"))
     return box_vol * float(hits) / float(n)
 
 

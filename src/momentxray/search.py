@@ -133,6 +133,12 @@ def dual_map(h: SampledField, q, r) -> SampledField:
     and N the mixed norm, both taken with the grid cell weights, so the
     discrete pairing identity holds to rounding.
     """
+    return _dual_pair(h, q, r)[0]
+
+
+def _dual_pair(h: SampledField, q, r):
+    """(dual_map(h, q, r), N): the dual map and the mixed norm N = |h|_{q,r}
+    it divides by, the float mixed_norm(|h|, q, r) gives."""
     _field(h, "dual_map", "target")
     qf, rf = _exponent(q, "q"), _exponent(r, "r")
     if not (1 < qf < math.inf and 1 < rf < math.inf):
@@ -146,7 +152,7 @@ def dual_map(h: SampledField, q, r) -> SampledField:
     fac = np.where(slice_r > 0, fac, 0.0) / N ** (qf - 1.0)
     shape = (-1,) + (1,) * (h.d - 1)
     vals = np.sign(h.values) * av ** (rf - 1.0) * fac.reshape(shape)
-    return h.with_values(vals)
+    return h.with_values(vals), float(N)
 
 
 def _unit_p(f: SampledField, p) -> SampledField:
@@ -159,11 +165,12 @@ def _unit_p(f: SampledField, p) -> SampledField:
 def _evaluate(f: SampledField, plan: TransformPlan, trip,
               it: int = 0) -> SearchState:
     """State at f normalized in L^p: h = Xf, Phi = |h|_{q,r} and g the dual
-    map of h."""
+    map of h.  Phi is the dual map's own N: f >= 0, so h >= 0 and N is the
+    float mixed_norm(h, q, r) gives, with one slice-norm pass, not two."""
     f = _unit_p(f, trip.p)
     h = apply_X(f, plan)
-    return SearchState(it=it, f=f, g=dual_map(h, trip.q, trip.r), h=h,
-                       phi=mixed_norm(h, trip.q, trip.r))
+    g, phi = _dual_pair(h, trip.q, trip.r)
+    return SearchState(it=it, f=f, g=g, h=h, phi=phi)
 
 
 def init_state(cfg: SearchConfig) -> SearchState:

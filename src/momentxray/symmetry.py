@@ -20,7 +20,11 @@ entries of one point at a time.  Each element gets the IEEE operations of
 the per-point form, so the bytes do not depend on the layout.  A map's
 result, shape S + (d,), is a view of those rows: each coordinate [..., k]
 is contiguous, which the point queries downstream read column by column.
-Scale's powers and Jacobians are computed only by ``_scale_diagonal`` and
+A step's terms (Translate's v, Scale's alpha beta^m, Shear's G_{t0} and
+gamma(t0)) are built by ``_point_map`` once per map: once per map_source /
+map_target call, and once per blocked call of the pullbacks and
+Cover.contains, whose blocks all go through one map.  Scale's powers and
+Jacobians are computed only by ``_scale_diagonal`` and
 ``_scale_jacobians``, for the maps, pullbacks and paraball geometry alike;
 ``_jacobian_power`` takes a pullback's power of them, through logs when a
 Jacobian leaves the float range.  Every generator parameter is stored as a
@@ -164,46 +168,63 @@ def _as_points(shape, rows) -> np.ndarray:
     return rows.T.reshape(shape + (len(rows),))
 
 
-def map_source(sigma: Symmetry, point) -> np.ndarray:
-    """Apply the source-side point map; last axis is (s, x)."""
-    shape, z = _coordinate_rows(point)
-    d = len(z)
+def _point_map(sigma: Symmetry, d: int, target_side: bool):
+    """map_target (target_side) or map_source of sigma in R^d, as a function
+    of points S + (d,).
+
+    Each step's terms are built here, once: Translate's column v, Scale's
+    diagonal alpha beta^m, Shear's G_{t0}^T and, on the source side,
+    gamma(t0).  The blocked callers (the pullbacks and Cover.contains) build
+    one map per call and run every block through it; each point gets the
+    operations of map_source / map_target.
+    """
+    steps = []
     for st in sigma.steps:
         if isinstance(st, Translate):
-            z[1:] += np.asarray(st.v)[:, None]
+            steps.append((st, np.asarray(st.v)[:, None]))
         elif isinstance(st, Scale):
-            z[0] *= st.alpha
-            z[1:] *= _scale_diagonal(st.alpha, st.beta, d)[:, None]
+            steps.append((st, _scale_diagonal(st.alpha, st.beta, d)[:, None]))
         else:
-            G = shear_matrix(d, st.t0).entries
-            z[1:] = (z[1:].T @ G.T).T
-            z[0] += st.s0
-            for m, power in enumerate(gamma_eval(d, st.t0), 1):
-                z[m] += z[0] * power
-    return _as_points(shape, z)
+            steps.append((st, shear_matrix(d, st.t0).entries.T,
+                          None if target_side else gamma_eval(d, st.t0)))
+
+    def apply(point) -> np.ndarray:
+        shape, z = _coordinate_rows(point)
+        for st, *terms in steps:
+            if isinstance(st, Translate):
+                z[1:] += terms[0]
+            elif isinstance(st, Scale):
+                z[0] *= st.beta if target_side else st.alpha
+                z[1:] *= terms[0]
+            elif target_side:
+                # s0 gamma(t) is zero at s0 = 0 (or the -0.0 of inverse):
+                # skipping it changes only the sign of a zero coordinate,
+                # which locate maps like +0, and a NaN of 0 * inf
+                if st.s0 != 0:
+                    for m, power in enumerate(_moments(z[0], d), 1):
+                        z[m] -= st.s0 * power
+                z[1:] = (z[1:].T @ terms[0]).T
+                z[0] += st.t0
+            else:
+                z[1:] = (z[1:].T @ terms[0]).T
+                z[0] += st.s0
+                for m, power in enumerate(terms[1], 1):
+                    z[m] += z[0] * power
+        return _as_points(shape, z)
+
+    return apply
+
+
+def map_source(sigma: Symmetry, point) -> np.ndarray:
+    """Apply the source-side point map; last axis is (s, x)."""
+    z = _pack(point)
+    return _point_map(sigma, z.shape[-1], False)(z)
 
 
 def map_target(sigma: Symmetry, point) -> np.ndarray:
     """Apply the target-side point map; last axis is (t, y)."""
-    shape, z = _coordinate_rows(point)
-    d = len(z)
-    for st in sigma.steps:
-        if isinstance(st, Translate):
-            z[1:] += np.asarray(st.v)[:, None]
-        elif isinstance(st, Scale):
-            z[0] *= st.beta
-            z[1:] *= _scale_diagonal(st.alpha, st.beta, d)[:, None]
-        else:
-            G = shear_matrix(d, st.t0).entries
-            # s0 gamma(t) is zero at s0 = 0 (or the -0.0 of inverse):
-            # skipping it changes only the sign of a zero coordinate, which
-            # locate maps like +0, and a NaN of 0 * inf
-            if st.s0 != 0:
-                for m, power in enumerate(_moments(z[0], d), 1):
-                    z[m] -= st.s0 * power
-            z[1:] = (z[1:].T @ G.T).T
-            z[0] += st.t0
-    return _as_points(shape, z)
+    z = _pack(point)
+    return _point_map(sigma, z.shape[-1], True)(z)
 
 
 def _is_noop(st) -> bool:
@@ -283,17 +304,17 @@ def _pullback(sigma: Symmetry, f: SampledField, out_grid: Grid | None,
     """Both pullbacks' body: _jacobian_power(sigma, factors) times f at
     the images of the nodes of out_grid, or of the preimage grid of f's box.
 
-    The nodes run in _node_blocks: each block is mapped with map_target or
-    map_source and evaluated by one interpolator of f, which pads f once,
-    before the next block starts.
+    The nodes run in _node_blocks: each block is mapped by one _point_map
+    of sigma, whose step terms are built once per call, and evaluated by
+    one interpolator of f, which pads f once, before the next block starts.
     """
     grid = out_grid or _preimage_grid(sigma, f.grid, target_side)
-    point_map = map_target if target_side else map_source
+    point_map = _point_map(sigma, grid.d, target_side)
     evaluate = _interpolator(f)
     values = np.empty(grid.shape)
     out = values.reshape(-1)
     for blk, nodes in _node_blocks(grid):
-        out[blk] = evaluate(point_map(sigma, nodes))
+        out[blk] = evaluate(point_map(nodes))
     del evaluate  # frees the padded copy of f before SampledField copies
     values *= _jacobian_power(sigma, factors)
     return SampledField(grid=grid, values=values)

@@ -77,8 +77,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import triple_for_theta
-from .field import (Grid, SampledField, _field, _integer, gamma_eval, lp_norm,
-                    mixed_norm)
+from .field import (Grid, SampledField, _field, _integer, _zero_border,
+                    gamma_eval, lp_norm, mixed_norm)
 
 
 def _usable_cores() -> int:
@@ -448,9 +448,8 @@ def _sweep(values: np.ndarray, plan: TransformPlan, adjoint: bool):
     resampled onto output level j's cross-section shifted by offsets(u)[j].
     """
     in_grid, out_grid, n_quad, offsets = _direction(plan, adjoint)
-    # one zero node on every side of every axis: each tap of either kernel
-    # lands on the input or on a zero
-    values = np.pad(values, 1)
+    # each tap of either kernel lands on the input or on a zero
+    values = _zero_border(values)
     if all(_matched(in_grid, out_grid, m) for m in range(1, in_grid.d)):
         schedule = plan._x_star_schedule if adjoint else plan._x_schedule
         return _run_schedule(values, schedule, out_grid)
@@ -492,8 +491,10 @@ def bilinear(f: SampledField, g: SampledField, plan: TransformPlan) -> float:
 
 
 def phi_functional(f: SampledField, theta, plan: TransformPlan) -> float:
-    """Rayleigh quotient: mixed norm of Xf over the L^p norm of f."""
-    _field(f, "phi_functional")
+    """Rayleigh quotient: mixed norm of Xf over the L^p norm of f.  f must
+    be a source field on the plan's source grid, checked before any norm
+    pass."""
+    _field(f, "phi_functional", "source", grid=plan.source_grid)
     trip = triple_for_theta(plan.d, theta)
     denom = lp_norm(f, trip.p)
     if denom == 0:

@@ -1089,7 +1089,7 @@ FIELD_SITES = {
                    "target", "target", False),
     "phi_functional.f": (
         lambda f, g, pl, sig, x: phi_functional(x, Fraction(5, 6), pl),
-        None, None, False),
+        "source", "source", False),
     "normalize_symmetry.f": (
         lambda f, g, pl, sig, x: normalize_symmetry(x, 2),
         "source", None, False),

@@ -118,12 +118,17 @@ def _reference_band_coords(lead, rest, s0, t0, ybar, side):
     return slab, np.stack(cols, axis=-1)
 
 
-def _reference_band_columns(lead, rest, s0, t0, ybar, side):
+# the references take a caller's kept terms and ignore them: they build
+# every term from the centre and widths
+
+
+def _reference_band_columns(lead, rest, s0, t0, ybar, side, *kept_terms):
     slab, Q = _reference_band_coords(lead, rest, s0, t0, ybar, side)
     return slab, list(np.moveaxis(Q, -1, 0))
 
 
-def _reference_inside(lead, rest, s0, t0, ybar, alpha, beta, side):
+def _reference_inside(lead, rest, s0, t0, ybar, alpha, beta, side,
+                      *kept_terms):
     slab, Q = _reference_band_coords(lead, rest, s0, t0, ybar, side)
     ok = np.abs(slab) < (alpha if side == "primal" else beta)
     bands = alpha * beta ** np.arange(1, Q.shape[-1] + 1)
@@ -1129,11 +1134,14 @@ class TestBoxSampleMemo:
             assert paraball._box_sample.cache_info().currsize <= 1
 
     def test_kept_points_are_read_only(self):
-        _, inside = paraball._box_sample(self.A, 2 * _BLOCK + 1, 0)
-        assert len(inside) == 3
-        for pts in inside:
-            with pytest.raises(ValueError):
-                pts[...] = 0.0
+        # the points inside the smaller ball are one (N, d) array, N <= n
+        n = 2 * _BLOCK + 1
+        _, inside = paraball._box_sample(self.A, n, 0)
+        assert isinstance(inside, np.ndarray)
+        assert inside.ndim == 2 and inside.shape[1] == D
+        assert 0 < len(inside) <= n
+        with pytest.raises(ValueError):
+            inside[...] = 0.0
 
     def test_memory(self):
         # the unit ball fills its box, so the memo holds about n d 8 bytes;
