@@ -20,7 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import SampledField, _exponent, _field, _integer, _slice_integrals
+from .field import (SampledField, _exponent, _field, _integer, _owned,
+                    _slice_integrals)
 
 J_FLOOR = -40
 
@@ -139,7 +140,7 @@ def reconstruct(pieces, f: SampledField) -> SampledField:
     for pc in pieces:
         level = pc.k if isinstance(pc, CombinedPiece) else pc.j
         vals += (2.0 ** level) * pc.mask
-    return f.with_values(vals)
+    return _owned(f.grid, vals)
 
 
 def trim_frequency(f: SampledField, W: int, p=2):

@@ -239,16 +239,7 @@ class SampledField:
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            if vals.size == int(np.prod(self.grid.shape)):
-                vals = vals.reshape(self.grid.shape)
-            else:
-                raise ValueError(
-                    f"values shape {vals.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        vals = vals.copy()
+        vals = _checked(self.grid, np.asarray(self.values, dtype=float)).copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -262,6 +253,42 @@ class SampledField:
 
     def with_values(self, values) -> "SampledField":
         return SampledField(grid=self.grid, values=values)
+
+
+def _checked(grid: Grid, vals: np.ndarray) -> np.ndarray:
+    """vals in grid's shape (a flat array of the right size is reshaped);
+    a wrong size or a value that is not finite raises ValueError."""
+    if vals.shape != grid.shape:
+        if vals.size == int(np.prod(grid.shape)):
+            vals = vals.reshape(grid.shape)
+        else:
+            raise ValueError(
+                f"values shape {vals.shape} does not match grid {grid.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field values must be finite")
+    return vals
+
+
+def _owned(grid: Grid, values: np.ndarray) -> SampledField:
+    """A field that takes ownership of ``values``, a float64 array that the
+    package has just made and that nothing else will write.
+
+    Ownership rule: the public SampledField(...) and with_values copy the
+    array they are given, so the caller's array stays its own.  An array
+    made inside the package (a transform's, pullback's, raster's or
+    truncation's output, a file's payload, the search's iterates) passes
+    the same shape and finiteness checks and is then made read-only in
+    place, not copied, so a field costs one array, not two.
+    """
+    if values.dtype != np.float64:
+        raise TypeError(f"an owned field needs float64 values,"
+                        f" got {values.dtype}")
+    values = _checked(grid, values)
+    values.setflags(write=False)
+    f = object.__new__(SampledField)
+    object.__setattr__(f, "grid", grid)
+    object.__setattr__(f, "values", values)
+    return f
 
 
 @dataclass(frozen=True)
@@ -390,11 +417,13 @@ def truncate(F: SampledField, R: float) -> SampledField:
     """Zero out nodes with |z| >= R or |F(z)| >= R (both cutoffs strict)."""
     _field(F, "truncate")
     R = _real(R, "R", 0)
-    radius2 = np.empty(F.values.size)
+    values = F.values.reshape(-1)
+    out = np.empty(values.size)
     for blk, nodes in _node_blocks(F.grid):
-        radius2[blk] = (nodes ** 2).sum(axis=-1)
-    keep = (radius2.reshape(F.grid.shape) < R * R) & (np.abs(F.values) < R)
-    return F.with_values(np.where(keep, F.values, 0.0))
+        v = values[blk]
+        keep = ((nodes ** 2).sum(axis=-1) < R * R) & (np.abs(v) < R)
+        out[blk] = np.where(keep, v, 0.0)
+    return _owned(F.grid, out.reshape(F.grid.shape))
 
 
 def _zero_border(values: np.ndarray) -> np.ndarray:
@@ -520,5 +549,5 @@ def read_field(path) -> SampledField:
     if len(raw) != expected:
         raise ValueError(f"{path}: field payload has {len(raw)} bytes,"
                          f" expected {expected}")
-    values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
-    return SampledField(grid=grid, values=values)
+    values = np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
+    return _owned(grid, values.reshape(grid.shape))

@@ -53,7 +53,8 @@ import numpy as np
 
 from .exponents import _finite_q_triple, conj_exponent, inv
 from .field import (Grid, SampledField, _blocks, _field, _integer, _lattice,
-                    _node_blocks, _real, gamma_eval, lp_norm, mixed_norm)
+                    _node_blocks, _owned, _real, gamma_eval, lp_norm,
+                    mixed_norm)
 from .symmetry import (Scale, Shear, Symmetry, Translate, _pack, _point_map,
                        _scale_diagonal, _scale_jacobians, inverse, map_source,
                        map_target, shear_matrix)
@@ -112,9 +113,10 @@ class Paraball:
 
         As TransformPlan keeps its schedules: they are not fields, so ==,
         hash and repr ignore them, and each of two -0.0 twins keeps the
-        terms of its own bits.  The arrays are read-only.  A gamma(t0) past
-        the float range is inf without a warning, as in mock_distance; a
-        power (-t0)^k or an entry of G_{-t0} past it raises OverflowError.
+        terms of its own bits.  The arrays are read-only.  A gamma(t0) or a
+        band past the float range is inf without a warning, as in
+        mock_distance; a power (-t0)^k or an entry of G_{-t0} past it
+        raises OverflowError.
         """
         d = self.d
         ybar = np.asarray(self.ybar)
@@ -299,7 +301,13 @@ def dual_bbox(B: Paraball):
     lo[0], hi[0] = B.t0 - B.beta, B.t0 + B.beta
     c = _scale_diagonal(B.alpha + abs(B.s0), B.beta, d)
     Gabs = np.abs(shear_matrix(d, B.t0).entries)
-    spread = Gabs @ c
+    if np.isfinite(c).all():
+        spread = Gabs @ c
+    else:
+        # a band past the float range spreads its rows to +inf; the zeros
+        # of the triangular G are left out, as 0 * inf would give NaN
+        spread = np.array([sum(g * ci for g, ci in zip(row, c) if g)
+                           for row in Gabs])
     yb = np.asarray(B.ybar)
     lo[1:], hi[1:] = yb - spread, yb + spread
     return lo, hi
@@ -313,9 +321,11 @@ def sample_points(B: Paraball, n: int, rng, side: str = "primal") -> np.ndarray:
     return map_source(sig, u) if side == "primal" else map_target(sig, u)
 
 
-def _node_membership(B: Paraball, grid: Grid, side: str) -> np.ndarray:
-    """membership of grid's nodes, shape grid.shape, in _node_blocks."""
-    ok = np.empty(grid.shape, dtype=bool)
+def _node_membership(B: Paraball, grid: Grid, side: str,
+                     dtype=bool) -> np.ndarray:
+    """membership of grid's nodes, shape grid.shape, in _node_blocks, as
+    bools or, for a raster, as the floats 0 and 1."""
+    ok = np.empty(grid.shape, dtype=dtype)
     flat = ok.reshape(-1)
     for blk, nodes in _node_blocks(grid):
         flat[blk] = membership(B, nodes, side)
@@ -325,13 +335,13 @@ def _node_membership(B: Paraball, grid: Grid, side: str) -> np.ndarray:
 def raster_primal(B: Paraball, grid: Grid) -> SampledField:
     if grid.side != "source":
         raise ValueError("primal raster needs a source grid")
-    return SampledField(grid, _node_membership(B, grid, "primal").astype(float))
+    return _owned(grid, _node_membership(B, grid, "primal", float))
 
 
 def raster_dual(B: Paraball, grid: Grid) -> SampledField:
     if grid.side != "target":
         raise ValueError("dual raster needs a target grid")
-    return SampledField(grid, _node_membership(B, grid, "dual").astype(float))
+    return _owned(grid, _node_membership(B, grid, "dual", float))
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +773,8 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
         if B not in pairings:
             fB = f.values * _node_membership(B, f.grid, "primal")
             gB = g.values * _node_membership(B, g.grid, "dual")
-            pairings[B] = bilinear(f.with_values(fB), g.with_values(gB), plan)
+            pairings[B] = bilinear(_owned(f.grid, fB), _owned(g.grid, gB),
+                                   plan)
         return pairings[B] * (1.0 - 0.02 * vol / budget), B
 
     rng = np.random.default_rng(seed)

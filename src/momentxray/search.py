@@ -22,8 +22,8 @@ import numpy as np
 
 from .exponents import _finite_q_triple, conj_exponent
 from .field import (_D_MIN, SampledField, _exponent, _field, _integer, _lq,
-                    _node_blocks, _real, _slice_r_norms, grid_from_box,
-                    lp_norm, mixed_norm, write_field)
+                    _node_blocks, _owned, _real, _slice_r_norms,
+                    grid_from_box, lp_norm, mixed_norm, write_field)
 from .paraball import raster_primal, unit_paraball
 from .symmetry import normalize_symmetry, pullback_source
 from .xray import TransformPlan, apply_X, apply_X_star
@@ -151,23 +151,29 @@ def _dual_pair(h: SampledField, q, r):
     fac = np.where(slice_r > 0, slice_r, 1.0) ** (qf - rf)
     fac = np.where(slice_r > 0, fac, 0.0) / N ** (qf - 1.0)
     shape = (-1,) + (1,) * (h.d - 1)
-    vals = np.sign(h.values) * av ** (rf - 1.0) * fac.reshape(shape)
-    return h.with_values(vals), float(N)
+    # sign(h) |h|^{r-1} fac, the products in that order, with |h| reused
+    # for its power and the sign array for the result
+    av **= rf - 1.0
+    vals = np.sign(h.values)
+    vals *= av
+    del av  # before the owned field's finiteness check
+    vals *= fac.reshape(shape)
+    return _owned(h.grid, vals), float(N)
 
 
-def _unit_p(f: SampledField, p) -> SampledField:
-    n = lp_norm(f, p)
+def _evaluate(values: np.ndarray, plan: TransformPlan, trip,
+              it: int = 0) -> SearchState:
+    """State at the source values normalized in L^p: h = Xf, Phi = |h|_{q,r}
+    and g the dual map of h.  values is a fresh float array that f takes
+    over (see field._owned): it is divided by its L^p norm in place.  Phi
+    is the dual map's own N: f >= 0, so h >= 0 and N is the float
+    mixed_norm(h, q, r) gives, with one slice-norm pass, not two."""
+    grid = plan.source_grid
+    n = float(_lq(np.abs(values), grid.cell_volume, _exponent(trip.p, "p")))
     if n == 0:
         raise ValueError("cannot normalize the zero field")
-    return f.with_values(f.values / n)
-
-
-def _evaluate(f: SampledField, plan: TransformPlan, trip,
-              it: int = 0) -> SearchState:
-    """State at f normalized in L^p: h = Xf, Phi = |h|_{q,r} and g the dual
-    map of h.  Phi is the dual map's own N: f >= 0, so h >= 0 and N is the
-    float mixed_norm(h, q, r) gives, with one slice-norm pass, not two."""
-    f = _unit_p(f, trip.p)
+    values /= n
+    f = _owned(grid, values)
     h = apply_X(f, plan)
     g, phi = _dual_pair(h, trip.q, trip.r)
     return SearchState(it=it, f=f, g=g, h=h, phi=phi)
@@ -177,27 +183,35 @@ def init_state(cfg: SearchConfig) -> SearchState:
     """Jittered unit-paraball indicator, normalized, with its dual pair."""
     plan = cfg.plan()
     rng = np.random.default_rng(cfg.seed)
-    base = raster_primal(unit_paraball(cfg.d), plan.source_grid)
-    vals = base.values * (1.0 + cfg.jitter * rng.random(base.values.shape))
-    return _evaluate(base.with_values(vals), plan, cfg.exponents())
+    base = raster_primal(unit_paraball(cfg.d), plan.source_grid).values
+    vals = base * (1.0 + cfg.jitter * rng.random(base.shape))
+    return _evaluate(vals, plan, cfg.exponents())
 
 
 def ascent_step(state: SearchState, cfg: SearchConfig) -> SearchState:
     """One power-ascent update f <- (X* g)^{p'-1}, damped toward the old
-    iterate if Phi would drop by more than the slack."""
+    iterate if Phi would drop by more than the slack.
+
+    Only the arrays the next operation reads are held: X* g is dropped
+    once clipped, the power is taken in place (``**=`` takes numpy's
+    scalar fast path, as ``**`` does: a square when p = 3/2), and a
+    rejected candidate is dropped before its midpoint is evaluated.
+    """
     plan = cfg.plan()
     trip = cfg.exponents()
     it = state.it + 1
     expo = 1.0 / (float(trip.p) - 1.0)
-    u = apply_X_star(state.g, plan)
-    raw = np.clip(u.values, 0.0, None) ** expo
+    raw = np.clip(apply_X_star(state.g, plan).values, 0.0, None)
+    raw **= expo
     if not raw.any():
         return replace(state, it=it, damping_tries=0)
-    cand = _evaluate(state.f.with_values(raw), plan, trip, it)
+    cand = _evaluate(raw, plan, trip, it)
+    del raw  # cand.f owns it, and a rejected cand must free it
     tries = 0
     while cand.phi < state.phi - PHI_SLACK and tries < 3:
         mid = 0.5 * (state.f.values + cand.f.values)
-        cand = _evaluate(state.f.with_values(mid), plan, trip, it)
+        del cand
+        cand = _evaluate(mid, plan, trip, it)
         tries += 1
     if cand.phi < state.phi - PHI_SLACK:
         return replace(state, it=it, damping_tries=tries)
@@ -218,9 +232,10 @@ def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
     if moved is state.f:
         return state
     vals = np.clip(moved.values, 0.0, None)
+    del moved
     if not vals.any():
         return state
-    cand = _evaluate(moved.with_values(vals), plan, trip, state.it)
+    cand = _evaluate(vals, plan, trip, state.it)
     if cand.phi < state.phi - PHI_SLACK:
         return state
     return cand
@@ -228,20 +243,23 @@ def renormalize_state(state: SearchState, cfg: SearchConfig) -> SearchState:
 
 def _normalized_profile(f: SampledField, p):
     """Weights |f|^p dV and keys max(|z|, |f|/|f|_p) after re-centering;
-    at p = inf the weights are |f| dV, as normalize_symmetry takes them."""
+    at p = inf the weights are |f| dV, as normalize_symmetry takes them.
+    The keys are built in place in the array of |f|, the radii a block at
+    a time, and the weights are scaled in place."""
     pf = _exponent(p, "p")
     fn = _normal_form(f, p)
-    av = np.abs(fn.values).ravel()
-    w = av ** (1.0 if math.isinf(pf) else pf) * fn.grid.cell_volume
+    n = lp_norm(fn, p)
+    key = np.abs(fn.values).ravel()
+    w = key ** (1.0 if math.isinf(pf) else pf)
+    w *= fn.grid.cell_volume
     tot = w.sum()
     if tot == 0:
         raise ValueError("localization needs a nonzero field")
-    radii = np.empty(av.size)
+    key /= n
     for blk, nodes in _node_blocks(fn.grid):
-        radii[blk] = np.linalg.norm(nodes, axis=1)
-    n = lp_norm(fn, p)
-    key = np.maximum(radii, av / n)
-    return key, w / tot
+        np.maximum(np.linalg.norm(nodes, axis=1), key[blk], out=key[blk])
+    w /= tot
+    return key, w
 
 
 def r95_radius(f: SampledField, p, quantile: float = 0.95) -> float:
@@ -253,7 +271,9 @@ def r95_radius(f: SampledField, p, quantile: float = 0.95) -> float:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile!r}")
     key, w = _normalized_profile(f, p)
     order = np.argsort(key, kind="stable")
-    cum = np.cumsum(w[order])
+    cum = w[order]
+    del w
+    np.cumsum(cum, out=cum)
     idx = int(np.searchsorted(cum, quantile, side="left"))
     idx = min(idx, len(key) - 1)
     return float(key[order[idx]])
@@ -280,16 +300,24 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     state = init_state(cfg)
     history = [log_entry(state, False)]
     stop_reason = "max_iters"
+    # one state is held between steps: the iterate before a renormalisation
+    # is dropped once it is replaced, and of the ascent's start only f,
+    # whose identity tells a kept iterate, until the step is logged
     for it in range(1, cfg.max_iters + 1):
-        prev = start = state
+        prev_phi, renormed = state.phi, False
         if cfg.renorm_every > 0 and it % cfg.renorm_every == 0:
             start = renormalize_state(state, cfg)
-        state = ascent_step(start, cfg)
-        history.append(log_entry(state, start is not prev))
-        if state.f is start.f:
+            renormed, state = start is not state, start
+            del start
+        start_f = state.f
+        state = ascent_step(state, cfg)
+        history.append(log_entry(state, renormed))
+        stalled = state.f is start_f
+        del start_f
+        if stalled:
             stop_reason = "stalled"  # the step kept the old iterate
             break
-        if abs(state.phi - prev.phi) <= cfg.tol_phi * max(prev.phi, 1e-300):
+        if abs(state.phi - prev_phi) <= cfg.tol_phi * max(prev_phi, 1e-300):
             stop_reason = "converged"
             break
     out = cfg.out_dir

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import (_D_MIN, Grid, SampledField, _exponent, _field, _integer,
-                    _interpolator, _lattice, _moments, _node_blocks, _real,
-                    gamma_eval, grid_from_box)
+                    _interpolator, _lattice, _moments, _node_blocks, _owned,
+                    _real, gamma_eval, grid_from_box)
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,11 @@ class Scale:
 
 
 def _scale_diagonal(alpha, beta, d: int) -> np.ndarray:
-    """alpha beta^m for m = 1..d-1: the diagonal of alpha S_beta."""
-    return alpha * beta ** np.arange(1, d)
+    """alpha beta^m for m = 1..d-1: the diagonal of alpha S_beta.  An entry
+    past the float range is +inf without a warning: a paraball's band of
+    that width holds every point, as the exact band would."""
+    with np.errstate(over="ignore"):
+        return alpha * beta ** np.arange(1, d)
 
 
 def _scale_jacobians(alpha, beta, d: int):
@@ -315,9 +318,8 @@ def _pullback(sigma: Symmetry, f: SampledField, out_grid: Grid | None,
     out = values.reshape(-1)
     for blk, nodes in _node_blocks(grid):
         out[blk] = evaluate(point_map(nodes))
-    del evaluate  # frees the padded copy of f before SampledField copies
     values *= _jacobian_power(sigma, factors)
-    return SampledField(grid=grid, values=values)
+    return _owned(grid, values)
 
 
 def pullback_source(sigma: Symmetry, f: SampledField, p,

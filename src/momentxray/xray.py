@@ -77,8 +77,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import triple_for_theta
-from .field import (Grid, SampledField, _field, _integer, _zero_border,
-                    gamma_eval, lp_norm, mixed_norm)
+from .field import (Grid, SampledField, _field, _integer, _owned,
+                    _zero_border, gamma_eval, lp_norm, mixed_norm)
 
 
 def _usable_cores() -> int:
@@ -437,7 +437,8 @@ def _run_schedule(values: np.ndarray, schedule, out_grid: Grid):
                     blend += w_hi * res[second]
                 res = blend
             out[dst] += res
-    return out * step
+    out *= step
+    return out
 
 
 def _sweep(values: np.ndarray, plan: TransformPlan, adjoint: bool):
@@ -465,21 +466,20 @@ def _sweep(values: np.ndarray, plan: TransformPlan, adjoint: bool):
     _run_parts([functools.partial(_level_part, values, tasks, in_grid,
                                   out_grid, out, k, workers)
                 for k in range(workers)])
-    return out * step
+    out *= step
+    return out
 
 
 def apply_X(f: SampledField, plan: TransformPlan) -> SampledField:
     """Forward transform onto the plan's target grid."""
     _field(f, "apply_X", "source", grid=plan.source_grid)
-    return SampledField(grid=plan.target_grid,
-                        values=_sweep(f.values, plan, adjoint=False))
+    return _owned(plan.target_grid, _sweep(f.values, plan, adjoint=False))
 
 
 def apply_X_star(g: SampledField, plan: TransformPlan) -> SampledField:
     """Adjoint transform onto the plan's source grid."""
     _field(g, "apply_X_star", "target", grid=plan.target_grid)
-    return SampledField(grid=plan.source_grid,
-                        values=_sweep(g.values, plan, adjoint=True))
+    return _owned(plan.source_grid, _sweep(g.values, plan, adjoint=True))
 
 
 def bilinear(f: SampledField, g: SampledField, plan: TransformPlan) -> float:

@@ -463,8 +463,7 @@ class TestSearchTrims:
         rng = np.random.default_rng(8)
         src = plan.source_grid
         for _ in range(3):
-            f = SampledField(src, rng.random(src.shape))
-            state = _evaluate(f, plan, trip)
+            state = _evaluate(rng.random(src.shape), plan, trip)
             h = apply_X(state.f, plan)
             assert type(state.phi) is float
             assert state.phi.hex() == mixed_norm(h, trip.q, trip.r).hex()

@@ -336,6 +336,34 @@ class TestPastTheFloatRange:
         want = math.exp(iqc * math.log(2e-200) + irc * log_section)
         assert dual_mixed_norm(B, THETA) == pytest.approx(want, rel=1e-12)
 
+    # a band alpha beta^m past the float range is +inf and holds every
+    # point; pyproject turns numpy's overflow warning into an error here
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_infinite_band_holds_every_point(self, side, d):
+        B = Paraball(0, 0, (0,) * (d - 1), 1.0, 1e200)
+        assert membership(B, np.zeros((3, d)), side).tolist() == [True] * 3
+        ok = _inside(np.zeros(3), np.zeros((3, d - 1)), 0.0, 0.0,
+                     np.zeros(d - 1), 1.0, 1e200, side)
+        assert ok.all()
+
+    def test_infinite_band_rasters_and_volumes(self):
+        big = Paraball(0, 0, (0, 0), 1.0, 1e200)
+        unit = unit_paraball(D)
+        assert intersection_volume(unit, big, 1000) == intersection_volume(
+            unit, unit, 1000)
+        grid = grid_from_box(D, "source", -0.9, 0.9, 4)
+        assert raster_primal(big, grid).values.all()
+        assert raster_dual(big, grid_from_box(D, "target", -0.9, 0.9,
+                                              4)).values.all()
+
+    def test_dual_bbox_of_an_infinite_band(self):
+        # G_{t0} is lower triangular: its zeros leave the finite rows
+        # finite, where the matrix product made them 0 * inf = NaN
+        lo, hi = dual_bbox(Paraball(0.5, 0.3, (0, 0), 1.0, 1e200))
+        assert lo.tolist() == [0.3 - 1e200, -1.5e200, -math.inf]
+        assert hi.tolist() == [0.3 + 1e200, 1.5e200, math.inf]
+
 
 class TestDualMixedNorm:
     def test_unit_value(self):
