@@ -355,9 +355,17 @@ def lp_norm(f: SampledField, p) -> float:
 
 
 def _slice_integrals(values: np.ndarray, grid: Grid, rf: float) -> np.ndarray:
-    """Integral of values^rf over y for each t-slice (axis 0)."""
+    """Integral of values^rf over y for each t-slice (axis 0).
+
+    The power and its sum are taken one slice at a time, so no full-size
+    temporary is made.  Each slice's sum has the bytes of numpy's sum of
+    the whole power over axes 1..d-1 (a test checks both forms).
+    """
     dy = float(np.prod(grid.spacing[1:]))
-    return (values ** rf).sum(axis=tuple(range(1, grid.d))) * dy
+    sums = np.empty(len(values))
+    for k, part in enumerate(values):
+        sums[k] = (part ** rf).sum()
+    return sums * dy
 
 
 def _slice_r_norms(values: np.ndarray, grid: Grid, rf: float) -> np.ndarray:

@@ -151,12 +151,12 @@ def _dual_pair(h: SampledField, q, r):
     fac = np.where(slice_r > 0, slice_r, 1.0) ** (qf - rf)
     fac = np.where(slice_r > 0, fac, 0.0) / N ** (qf - 1.0)
     shape = (-1,) + (1,) * (h.d - 1)
-    # sign(h) |h|^{r-1} fac, the products in that order, with |h| reused
-    # for its power and the sign array for the result
-    av **= rf - 1.0
-    vals = np.sign(h.values)
-    vals *= av
-    del av  # before the owned field's finiteness check
+    # sign(h) |h|^{r-1} fac, the products in that order, all in the array
+    # of |h|: sign(h) is +-1 where h != 0, and at h = +-0 the power is +0,
+    # as np.sign(h) times it is
+    vals = av
+    vals **= rf - 1.0
+    np.copysign(vals, h.values, out=vals, where=h.values != 0)
     vals *= fac.reshape(shape)
     return _owned(h.grid, vals), float(N)
 

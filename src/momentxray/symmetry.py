@@ -180,16 +180,37 @@ def _point_map(sigma: Symmetry, d: int, target_side: bool):
     gamma(t0).  The blocked callers (the pullbacks and Cover.contains) build
     one map per call and run every block through it; each point gets the
     operations of map_source / map_target.
+
+    From a Scale whose band alpha beta^m leaves the float range (+inf, see
+    ``_scale_diagonal``) on, the map reads an infinity as a number too large
+    to hold, not as a point at infinity: a zero coordinate stays zero under
+    Scale, and the zeros of G_{t0} are left out of Shear's product (as in
+    ``paraball.dual_bbox``), where 0 * inf would give NaN.  A map whose
+    bands are all finite runs the plain products, bit for bit.
     """
-    steps = []
+    steps, wide = [], False
     for st in sigma.steps:
         if isinstance(st, Translate):
             steps.append((st, np.asarray(st.v)[:, None]))
         elif isinstance(st, Scale):
-            steps.append((st, _scale_diagonal(st.alpha, st.beta, d)[:, None]))
+            diag = _scale_diagonal(st.alpha, st.beta, d)
+            wide = wide or not np.isfinite(diag).all()
+            steps.append((st, diag[:, None], wide))
         else:
             steps.append((st, shear_matrix(d, st.t0).entries.T,
-                          None if target_side else gamma_eval(d, st.t0)))
+                          None if target_side else gamma_eval(d, st.t0),
+                          wide))
+
+    def shear(rows, GT, wide):
+        if not wide:
+            return (rows.T @ GT).T
+        # each nonzero entry of G adds its term, in column order
+        out = np.zeros_like(rows)
+        for m, G_row in enumerate(GT.T):
+            for i, g in enumerate(G_row):
+                if g:
+                    out[m] += g * rows[i]
+        return out
 
     def apply(point) -> np.ndarray:
         shape, z = _coordinate_rows(point)
@@ -198,7 +219,11 @@ def _point_map(sigma: Symmetry, d: int, target_side: bool):
                 z[1:] += terms[0]
             elif isinstance(st, Scale):
                 z[0] *= st.beta if target_side else st.alpha
-                z[1:] *= terms[0]
+                x = z[1:]
+                if terms[1]:
+                    np.multiply(x, terms[0], out=x, where=x != 0)
+                else:
+                    x *= terms[0]
             elif target_side:
                 # s0 gamma(t) is zero at s0 = 0 (or the -0.0 of inverse):
                 # skipping it changes only the sign of a zero coordinate,
@@ -206,10 +231,10 @@ def _point_map(sigma: Symmetry, d: int, target_side: bool):
                 if st.s0 != 0:
                     for m, power in enumerate(_moments(z[0], d), 1):
                         z[m] -= st.s0 * power
-                z[1:] = (z[1:].T @ terms[0]).T
+                z[1:] = shear(z[1:], terms[0], terms[2])
                 z[0] += st.t0
             else:
-                z[1:] = (z[1:].T @ terms[0]).T
+                z[1:] = shear(z[1:], terms[0], terms[2])
                 z[0] += st.s0
                 for m, power in enumerate(terms[1], 1):
                     z[m] += z[0] * power

@@ -15,11 +15,18 @@ One incidence sweep serves both: at each quadrature node u of the input's
 axis 0 it interpolates the input slice and resamples it onto every output
 level's cross-section, shifted by u gamma(t) for X and by -s gamma(u) for
 X*.  Every interpolation step is a two-tap blend a (1-fr) + b fr of
-neighbouring nodes along one axis.  The sweep pads its input once with one
-zero node on every side of every axis, so each tap lands on an input node
-or on a zero: that border is how both kernels below extend the field by
-zero.  An axis is matched when the input and output spacings agree within
-1e-12 relative; the shifted points are then a translated copy of the input
+neighbouring nodes along one axis.  Each kernel below fills the node's
+section (``_section``) straight from the input's two slices into one
+reused buffer (``_section_buffer``) that has one zero node on every side
+of every cross-section axis, so each tap lands on an input node or on a
+zero: that border is how the kernels extend the field by zero, and no
+padded copy of the whole input is made.  A slice off axis 0 (the node
+below the first level or past the last) is left out of the blend; it would
+add only +-0.  A zero's sign only ever decides the sign of a zero result,
+and every output starts at +0 and never holds -0 (x + (-x) is +0), so
+adding +-0 leaves it unchanged: the output bytes do not depend on it.  An
+axis is matched when the input and output spacings agree within 1e-12
+relative; the shifted points are then a translated copy of the input
 lattice.  The resampling has two kernels, chosen once per sweep:
 
 - every cross-section axis matched: a per-level loop over live windows,
@@ -28,22 +35,47 @@ lattice.  The resampling has two kernels, chosen once per sweep:
   (``_live_windows``) that finds every level's integer shift m0 and
   fraction fr per axis, and with them the window of output nodes whose two
   taps reach the input; levels with an empty window are skipped.  It keeps
-  per node the axis-0 section index and weights, and per live level the
-  src and dst slice tuples and the weights 1 - fr, fr per axis.  The
-  execute step (``_run_schedule``) blends each live level's window, axes
-  first to last (the second tap only when fr != 0), and adds it into the
-  output.  Each output element gets the same float ops in the same order
-  as in a two-tap blend of the whole section per level and axis; the nodes
+  per node the axis-0 m0 and fr, and per live level its window and the
+  weights 1 - fr, fr per axis.  The execute step (``_run_schedule``)
+  blends each live level's window, axes first to last (the second tap only
+  when fr != 0), and adds it into the output.  The window has one of two
+  layouts, chosen from d (``_row_width``):
+
+  - d = 3, padded rows (``_blend_rows``).  The section buffer's rows are
+    W = n_in + n_out nodes wide (the counts of the last axis), zero past
+    the input, and the output is laid out with rows of the same width W.
+    A live level's window is then one contiguous flat range, and its input
+    range starts at a constant offset from it; the axis-1 blend (a shift
+    by W), the axis-2 blend (a shift by 1) and the add into the output are
+    each one 1-D pass.  The range also covers the nodes between the
+    window's rows.  Those that are real output nodes lie outside the
+    window, and W leaves a run of n_out zero columns between two input
+    rows, as wide as the farthest a live shift reaches past either edge,
+    so their taps read only zeros and they add an exact +0.  The others
+    are the output's padding columns, which are dropped: the output is cut
+    to its real columns in place (``_compact``), so the returned field
+    owns one field-sized array and the sweep peaks at about two.  X and
+    X* ran at 1.3-1.5x the strided windows' speed at 24^3-32^3 and
+    1.0-1.1x at 64^3 (one 2-vCPU host, numpy 2.4).
+  - d >= 4, strided windows (``_blend_windows``).  Per live level the
+    schedule keeps a src and a dst slice tuple, and the blends are strided
+    numpy passes over the window.  Two flat variants ran at 0.55-0.94x of
+    it at d = 4 in a prototype (the last two axes merged, or the leading
+    two), so d >= 4 keeps it.
+
+  Each real output element gets the same float ops in the same order as
+  in a two-tap blend of the whole section per level and axis; the nodes
   outside the window are exact zeros there and only ever add zeros.  So
   the output is byte-identical to that loop (the reference in the tests).
   The schedule depends only on the plan and the direction, so the
   ``TransformPlan`` builds it on the first X (or X*) that it serves and
   holds it until the plan is freed.  It is not a field, so equal plans
-  compare, hash and print equal whether used or not.  A (node, level) pair
-  holds a src and a dst tuple, whose slices come from one shared table per
-  axis, and 2 (d - 1) float64 weights.  With the
-  per-node parts that is 180-200 bytes per pair at d = 3 and about 280 at
-  d = 4 (CPython 3.11): 1 MB for the X and X* schedules of one 64^3 plan.
+  compare, hash and print equal whether used or not.  Per (node, level)
+  pair it holds, with the weights as 2 (d - 1) float64, about 64 bytes on
+  padded rows (three int64 per window: 0.4 MB for the X and X* schedules
+  of one 64^3 plan, where strided windows took 1.2 MB) and 250-280 bytes
+  for strided windows at d = 4 (CPython 3.11), whose slices come from one
+  shared table per axis.
 - any cross-section axis mismatched: ``_level_sections``, one gather and
   blend per axis for a run of output levels at once, with per-level
   two-tap indices and hat weights.  At each node ``_live_levels`` finds
@@ -78,7 +110,7 @@ import numpy as np
 
 from .exponents import triple_for_theta
 from .field import (Grid, SampledField, _field, _integer, _owned,
-                    _zero_border, gamma_eval, lp_norm, mixed_norm)
+                    gamma_eval, lp_norm, mixed_norm)
 
 
 def _usable_cores() -> int:
@@ -278,13 +310,13 @@ def _level_part(values, tasks, in_grid: Grid, out_grid: Grid,
     contributions in node order, and no other worker writes to it.
     """
     work = _level_work(in_grid, out_grid, -(-out_grid.counts[0] // workers))
+    section, inner = _section_buffer(in_grid.counts[1:])
     for u, offsets, j0, j1 in tasks:
         start = j0 + (k - j0) % workers
         if start >= j1:
             continue
         m0, fr = in_grid.locate(u, 0)
-        section = _section(values, m0 + 1, 1.0 - fr, fr)
-        if not section.any():
+        if not _section(values, int(m0), float(fr), section, inner):
             continue
         mine = slice(start, j1, workers)
         out[mine] += _level_sections(section, offsets[mine], in_grid,
@@ -326,15 +358,16 @@ def _run_parts(parts):
 
 
 def _live_windows(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
-    """Live levels of the matched kernel, with their shifts and fractions.
+    """Live levels of the matched kernel, with their shifts, fractions and
+    windows.
 
     On each cross-section axis, output node i of a level blends input nodes
     m0 + i and m0 + i + 1 with weights 1 - fr and fr, where (m0, fr) is
     the input grid's ``locate`` of out origin + offset, for all levels in
-    one call.  Only the window i in [max(0, -m0 - 1), min(n_out, n_in - m0))
-    reaches the input; outside it the level's section is exactly zero.
-    Returns the levels whose windows are all non-empty, and their m0 and fr
-    per axis, one row per level.
+    one call.  Only the window i in [lo, hi) = [max(0, -m0 - 1),
+    min(n_out, n_in - m0)) reaches the input; outside it the level's
+    section is exactly zero.  Returns the levels whose windows are all
+    non-empty, and their m0, fr, lo and hi per axis, one row per level.
     """
     ax = slice(1, in_grid.d)
     m0, fr = in_grid.locate(np.array(out_grid.origin[ax]) + offsets, ax)
@@ -342,7 +375,7 @@ def _live_windows(offsets: np.ndarray, in_grid: Grid, out_grid: Grid):
     hi = np.minimum(np.array(out_grid.counts[ax]),
                     np.array(in_grid.counts[ax]) - m0)
     live = np.flatnonzero((hi > lo).all(axis=1))
-    return live, m0[live], fr[live]
+    return live, m0[live], fr[live], lo[live], hi[live]
 
 
 def _window_cuts(n_in: int, n_out: int):
@@ -360,14 +393,51 @@ def _window_cuts(n_in: int, n_out: int):
     return src, dst
 
 
-def _section(values: np.ndarray, i: int, w: float, fr: float) -> np.ndarray:
-    """Slices i and i + 1 of the zero-bordered input blended with weights
-    w = 1 - fr and fr: the input along axis 0 at a quadrature node that
-    ``locate`` puts at (i - 1, fr)."""
-    section = values[i] * w
-    if fr != 0.0:
-        section += fr * values[i + 1]
-    return section
+def _row_width(in_grid: Grid, out_grid: Grid) -> int:
+    """The matched kernel's row width W = n_in + n_out on the last axis if
+    it runs on padded rows (d = 3), else 0 (strided windows).
+
+    A grid has at least two nodes per axis, so W >= n_in + 2 holds the
+    bordered row, and the n_out zeros between two input rows cover every
+    tap past a row's edge (see the module docstring).
+    """
+    return in_grid.counts[-1] + out_grid.counts[-1] if in_grid.d == 3 else 0
+
+
+def _section_buffer(counts, width: int = 0):
+    """A zero section buffer for an input whose cross-section has the given
+    counts, and the view of its interior that ``_section`` fills.
+
+    The buffer has one zero node on every side of every axis; a row width
+    (the padded-row layout) widens its last axis to that many nodes, all
+    zero past the border.  Only the interior is ever written, so the rest
+    stays zero at every quadrature node.
+    """
+    shape = [n + 2 for n in counts]
+    if width:
+        shape[-1] = width
+    section = np.zeros(shape)
+    return section, section[tuple(slice(1, n + 1) for n in counts)]
+
+
+def _section(values: np.ndarray, m0: int, fr: float, section: np.ndarray,
+             inner: np.ndarray) -> bool:
+    """Fill ``inner``, the interior of ``section``, with the input along
+    axis 0 at a quadrature node that ``locate`` puts at (m0, fr), and
+    return whether the section is nonzero.
+
+    The section is values[m0] (1 - fr) + fr values[m0 + 1], read straight
+    from the input's slices.  A slice off the input (m0 = -1, or
+    m0 + 1 = n) is a zero slice: it is left out, which can only flip the
+    sign of a zero in the section (see the module docstring).
+    """
+    if m0 < 0:
+        np.multiply(values[0], fr, out=inner)
+    else:
+        np.multiply(values[m0], 1.0 - fr, out=inner)
+        if fr != 0.0 and m0 + 1 < len(values):
+            inner += fr * values[m0 + 1]
+    return bool(section.any())
 
 
 def _direction(plan: TransformPlan, adjoint: bool):
@@ -388,48 +458,93 @@ def _direction(plan: TransformPlan, adjoint: bool):
 def _matched_schedule(in_grid: Grid, out_grid: Grid, n_quad: int, offsets):
     """The matched kernel's shift arithmetic for one plan and direction.
 
-    Returns (step, entries) with one entry per quadrature node that has a
-    live level: the arguments i, w and fr of its ``_section``, then, for
-    the levels that ``_live_windows`` finds live, their src and dst windows
-    as two tuples and their weights as one (levels, d - 1, 2) array holding
-    (1 - fr, fr) per cross-section axis.  The windows' slices come from
-    one ``_window_cuts`` table per axis, so pairs share them.
+    Returns (step, width, entries): the quadrature step, the row width of
+    ``_row_width`` (0 for strided windows), and one entry per quadrature
+    node that has a live level.  An entry holds the node's m0 and fr on
+    axis 0 (the arguments of ``_section``), the windows of the levels that
+    ``_live_windows`` finds live, and their weights as one (levels, d - 1,
+    2) array holding (1 - fr, fr) per cross-section axis.
+
+    d = 3 uses padded rows: the windows are one (levels, 3) int64 array,
+    per level the flat start a of its input range in the section buffer,
+    the flat start o of its output range, and the range's length n (the
+    nodes from the window's first to its last, rows of width W).  The
+    range spans the nodes between the window's rows too; the real output
+    nodes among them read only the n_out zero columns between two input
+    rows and add +0, and the rest are padding columns that ``_compact``
+    drops, so the bytes are the window's alone.  About 64 bytes per
+    (node, level) pair.  d >= 4 uses strided windows: a tuple of src and a
+    tuple of dst slice tuples, the dst tuple led by the level; their
+    slices come from one ``_window_cuts`` table per axis, so pairs share
+    them.  250-280 bytes per pair (CPython 3.11).
     """
     nodes, step = _quad_nodes(in_grid, n_quad)
+    width = _row_width(in_grid, out_grid)
     n_out = np.array(out_grid.counts[1:])
-    cuts = [_window_cuts(n_i, n_o)
-            for n_i, n_o in zip(in_grid.counts[1:], out_grid.counts[1:])]
+    cuts = [] if width else [
+        _window_cuts(n_i, n_o)
+        for n_i, n_o in zip(in_grid.counts[1:], out_grid.counts[1:])]
     entries = []
     for u in nodes:
-        live, shifts, frs = _live_windows(offsets(u), in_grid, out_grid)
+        live, shifts, frs, lo, hi = _live_windows(offsets(u), in_grid,
+                                                  out_grid)
         if not live.size:
             continue
-        rows = (shifts + n_out).T.tolist()  # table entries, one list per axis
-        src = [map(tab.__getitem__, r) for (tab, _), r in zip(cuts, rows)]
-        dst = [map(tab.__getitem__, r) for (_, tab), r in zip(cuts, rows)]
+        if width:
+            # rows of the bordered section and of the output; the input
+            # node of output node (i, k) is bordered node
+            # (i + m0_1 + 1, k + m0_2 + 1)
+            first = lo + shifts + 1
+            windows = np.stack(
+                [first[:, 0] * width + first[:, 1],
+                 (live * n_out[0] + lo[:, 0]) * width + lo[:, 1],
+                 (hi[:, 0] - lo[:, 0] - 1) * width + hi[:, 1] - lo[:, 1]],
+                axis=-1)
+        else:
+            rows = (shifts + n_out).T.tolist()  # table entries per axis
+            src = [map(tab.__getitem__, r) for (tab, _), r in zip(cuts, rows)]
+            dst = [map(tab.__getitem__, r) for (_, tab), r in zip(cuts, rows)]
+            windows = (tuple(zip(*src)), tuple(zip(live.tolist(), *dst)))
         m0, fr = in_grid.locate(u, 0)
-        fr = float(fr)
-        entries.append((int(m0) + 1, 1.0 - fr, fr, tuple(zip(*src)),
-                        tuple(zip(live.tolist(), *dst)),
+        entries.append((int(m0), float(fr), windows,
                         np.stack([1.0 - frs, frs], axis=-1)))
-    return step, tuple(entries)
+    return step, width, tuple(entries)
 
 
 def _run_schedule(values: np.ndarray, schedule, out_grid: Grid):
     """The matched kernel's blends and sums, read off a ``_matched_schedule``.
 
-    values is the zero-bordered input.
+    values is the input itself; each node's section is filled into one
+    reused buffer, laid out for the schedule's windows.
     """
-    step, entries = schedule
+    step, width, entries = schedule
+    section, inner = _section_buffer(values.shape[1:], width)
+    nodes = _live_sections(values, entries, section, inner)
+    if width:
+        out = _blend_rows(section.reshape(-1), nodes, out_grid, width)
+    else:
+        out = _blend_windows(section, nodes, out_grid)
+    out *= step
+    return out
+
+
+def _live_sections(values, entries, section, inner):
+    """The schedule's nodes whose section is nonzero: fills the section of
+    each node in turn and yields its windows and weights."""
+    for m0, fr, windows, taps in entries:
+        if _section(values, m0, fr, section, inner):
+            yield windows, taps.tolist()
+
+
+def _blend_windows(section, nodes, out_grid: Grid):
+    """The strided blends: each live level's window is a slice tuple of the
+    section, blended axis by axis and added into the output's window."""
     out = np.zeros(out_grid.shape)
     tap_cuts = [((slice(None),) * axis + (slice(None, -1),),
                  (slice(None),) * axis + (slice(1, None),))
                 for axis in range(out_grid.d - 1)]
-    for i, w, fr, srcs, dsts, taps in entries:
-        section = _section(values, i, w, fr)
-        if not section.any():
-            continue
-        for src, dst, level_taps in zip(srcs, dsts, taps.tolist()):
+    for (srcs, dsts), taps in nodes:
+        for src, dst, level_taps in zip(srcs, dsts, taps):
             res = section[src]
             for (first, second), (w_lo, w_hi) in zip(tap_cuts, level_taps):
                 blend = res[first] * w_lo
@@ -437,8 +552,46 @@ def _run_schedule(values: np.ndarray, schedule, out_grid: Grid):
                     blend += w_hi * res[second]
                 res = blend
             out[dst] += res
-    out *= step
     return out
+
+
+def _blend_rows(flat, nodes, out_grid: Grid, width: int):
+    """The padded-row blends: each live level's window is one flat range
+    of the section buffer and of an output with rows of the same width, so
+    the axis-1 blend (shift W), the axis-2 blend (shift 1) and the add are
+    1-D passes.  The output is cut to its real columns in place."""
+    n0, n1, _ = out_grid.shape
+    out = np.zeros(n0 * n1 * width)
+    for windows, taps in nodes:
+        for (a, o, n), ((w1, h1), (w2, h2)) in zip(windows.tolist(), taps):
+            blend = flat[a:a + n + 1] * w1
+            if h1 != 0.0:
+                blend += h1 * flat[a + width:a + width + n + 1]
+            res = blend[:-1] * w2
+            if h2 != 0.0:
+                res += h2 * blend[1:]
+            out[o:o + n] += res
+    _compact(out, out_grid.shape, width)
+    return out
+
+
+def _compact(out: np.ndarray, shape, width: int):
+    """Cut a padded-row output (a flat array, rows of ``width`` nodes) to
+    its first shape[-1] columns and to ``shape``, in place.
+
+    Each level's rows move to the front of the buffer in level order; no
+    level's block reaches past the rows of the next, whose values are
+    still unread, and numpy buffers the overlap of a level with its own
+    rows.  The buffer is then shrunk, not copied, so the output never
+    takes a second array.
+    """
+    n0, n1, n2 = shape
+    plane = n1 * n2
+    rows = out.reshape(n0, n1, width)
+    for j in range(n0):
+        out[j * plane:(j + 1) * plane].reshape(n1, n2)[...] = rows[j, :, :n2]
+    del rows  # no view of out may outlive the resize
+    out.resize(shape, refcheck=False)
 
 
 def _sweep(values: np.ndarray, plan: TransformPlan, adjoint: bool):
@@ -449,8 +602,6 @@ def _sweep(values: np.ndarray, plan: TransformPlan, adjoint: bool):
     resampled onto output level j's cross-section shifted by offsets(u)[j].
     """
     in_grid, out_grid, n_quad, offsets = _direction(plan, adjoint)
-    # each tap of either kernel lands on the input or on a zero
-    values = _zero_border(values)
     if all(_matched(in_grid, out_grid, m) for m in range(1, in_grid.d)):
         schedule = plan._x_star_schedule if adjoint else plan._x_schedule
         return _run_schedule(values, schedule, out_grid)

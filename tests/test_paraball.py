@@ -357,6 +357,33 @@ class TestPastTheFloatRange:
         assert raster_dual(big, grid_from_box(D, "target", -0.9, 0.9,
                                               4)).values.all()
 
+    # from a band beta^m past the float range on, Scale keeps a zero
+    # coordinate zero and Shear leaves the zeros of G_{t0} out, so no
+    # 0 * inf makes a NaN; pyproject turns numpy's warning into an error
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_primal_bbox_of_an_infinite_band(self, d):
+        lo, hi = primal_bbox(Paraball(0, 0, (0,) * (d - 1), 1.0, 1e200))
+        assert lo.tolist() == [-1.0, -1e200] + [-math.inf] * (d - 2)
+        assert hi.tolist() == [1.0, 1e200] + [math.inf] * (d - 2)
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_samples_of_an_infinite_band(self, side, d):
+        B = Paraball(0, 0, (0,) * (d - 1), 1.0, 1e200)
+        pts = sample_points(B, 500, np.random.default_rng(8), side)
+        u = np.random.default_rng(8).uniform(-1.0, 1.0, size=(500, d))
+        assert np.isfinite(pts[:, :2]).all()
+        assert (pts[:, 2:] == np.copysign(math.inf, u[:, 2:])).all()
+        point_map = map_source if side == "primal" else map_target
+        assert point_map(to_symmetry(B), np.zeros(d)).tolist() == [0.0] * d
+
+    def test_partition_of_an_infinite_band(self):
+        # the members' centres leave the float range: the cover refuses
+        # them with one ValueError, not a warning about a NaN
+        with pytest.raises(ValueError, match="member parameters must be"):
+            partition(Paraball(0, 0, (0, 0), 1.0, 1e200), 0.5,
+                      Fraction(5, 6))
+
     def test_dual_bbox_of_an_infinite_band(self):
         # G_{t0} is lower triangular: its zeros leave the finite rows
         # finite, where the matrix product made them 0 * inf = NaN

@@ -534,6 +534,13 @@ MATCHED_CASES = {
                    _off_axis("target", 3, 12, 1), 1, False),
     "off-axis-2": (box_grid("source", -2.0, 2.0, 12, 3),
                    _off_axis("target", 3, 12, 2), 1, False),
+    # unequal counts on the two cross-section axes, and between source and
+    # target at one spacing: the padded rows (width n_in + n_out on the
+    # last axis) and the output's row stride differ from every count
+    "d3-unequal": (Grid(3, "source", (-1.375, -1.0, -1.625), (0.25,) * 3,
+                        (12, 9, 14)),
+                   Grid(3, "target", (-1.25, -1.5, -0.75), (0.25,) * 3,
+                        (11, 13, 7)), 1, True),
 }
 
 
@@ -578,6 +585,25 @@ class TestMatchedKernel:
             got = op(field, plan).values
             assert got.tobytes() == ref(field, plan).tobytes()
             assert got.any() == (not case.startswith("off-axis"))
+
+    @pytest.mark.parametrize("case", sorted(
+        name for name, (sg, *_) in MATCHED_CASES.items() if sg.d == 3))
+    def test_sign_changing_input_on_padded_rows(self, case):
+        # the padded-row layout adds +-0 between a window's rows: with
+        # inputs of both signs and empty slices it must still give the
+        # loop's bytes in both directions
+        sg, tg, per_level, _ = MATCHED_CASES[case]
+        plan = TransformPlan(sg, tg, per_level * sg.counts[0],
+                             per_level * tg.counts[0])
+        rng = np.random.default_rng(71)
+        for grid, op, ref in ((sg, apply_X, _dense_X),
+                              (tg, apply_X_star, _dense_X_star)):
+            vals = rng.random(grid.shape) - 0.5
+            n = grid.counts[0]
+            vals[:2] = vals[-2:] = vals[n // 2] = 0.0
+            field = SampledField(grid, vals)
+            got = op(field, plan).values
+            assert got.tobytes() == ref(field, plan).tobytes()
 
     def test_cases_cover_every_window_kind(self):
         seen = set()
@@ -690,6 +716,18 @@ class TestPlanSchedule:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert got == [want] * workers
+
+    @pytest.mark.parametrize("case", ["d3-16", "d4-10"])
+    def test_layout_follows_d(self, case):
+        # d = 3 runs on padded rows of width n_in + n_out on the last axis,
+        # d = 4 on strided windows (width 0)
+        plan = _schedule_plan(case)
+        for schedule, in_grid, out_grid in (
+                (plan._x_schedule, plan.source_grid, plan.target_grid),
+                (plan._x_star_schedule, plan.target_grid, plan.source_grid)):
+            width = schedule[1]
+            assert width == (in_grid.counts[2] + out_grid.counts[2]
+                             if plan.d == 3 else 0)
 
     def test_equal_plans_stay_equal_after_use(self):
         used, fresh = _schedule_plan("d3-16"), _schedule_plan("d3-16")
