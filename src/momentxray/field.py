@@ -182,8 +182,9 @@ def _blocks(n: int):
     maps.  The pipelines: Cover.contains, membership, intersection_volume
     and interpolate over given points, and over a grid's nodes (see
     _node_blocks) the source and target pullbacks, raster_primal and
-    raster_dual (with fit_paraball's memberships), truncate and the radii
-    of search's localisation profile.  Each point gets the same float
+    raster_dual, truncate and the radii of search's localisation profile.
+    fit_paraball walks each grid's nodes once and keeps them, so its
+    memberships run over given points.  Each point gets the same float
     operations in the same layout as in one full-array pass, so results do
     not depend on the block size.  _BLOCK is a constant measured once, not
     an option.

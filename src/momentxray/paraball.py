@@ -11,24 +11,26 @@ the unit-frame net centres), the mock distance between paraballs, Monte
 Carlo intersection volume, the quasi-extremal ratio, and a fitter that
 localizes a near-extremal pair.
 
-The hot paths avoid repeated work without changing a byte of output.  The
-greedy nets behind a partition depend only on (d, eta1, eta2), so a process
-builds each triple once and keeps the last _NET_CACHE_SIZE of them, read-only
-(see _nets).  intersection_volume's Monte Carlo draws, and which of them lie
-in the smaller ball, depend only on (smaller ball, n, seed), so a process
-keeps one such sample as one read-only array, and a call against the same
-ball makes one membership call of the larger one on it (see _box_sample;
-one entry of at most n d 8 bytes).  Each derived term is built once per
-owner: a Paraball keeps its band terms gamma(t0), (-t0)^k, alpha beta^m and
-G_{-t0} (see Paraball._terms), which membership and mock_distance read;
-Cover.contains builds the terms its blocks share once per call, the
-unit-frame map's step terms included (see symmetry._point_map); partition
-evaluates gamma once per t-net point.  Band tests take one band column at a
-time, with the same float operations in the same order as the stacked form
-(see _band_columns).  Point queries (membership, Cover.contains,
-intersection_volume) run in field._blocks, and rasters over
-field._node_blocks, one coordinate column at a time: the unit-frame maps
-return contiguous coordinates (see symmetry's column rule), and
+The hot paths avoid repeated work without changing a byte of output; the one
+value they change, Cover.contains' unit-frame coordinates, never leaves that
+call (see _unit_frame).  The greedy nets behind a partition depend only on
+(d, eta1, eta2), so a process builds each triple once and keeps the last
+_NET_CACHE_SIZE of them, read-only (see _nets).  intersection_volume's Monte
+Carlo draws, and which of them lie in the smaller ball, depend only on
+(smaller ball, n, seed), so a process keeps one such sample as one read-only
+array, and a call against the same ball makes one membership call of the
+larger one on it (see _box_sample; one entry of at most n d 8 bytes).  Each
+derived term is built once per owner: a Paraball keeps its band terms
+gamma(t0), (-t0)^k, alpha beta^m and G_{-t0} (see Paraball._terms), which
+membership, mock_distance and Cover.contains read: Cover.contains takes its
+unit-frame coordinates off the base's band columns, on both sides by one
+formula, and builds the other terms its blocks share once per call;
+partition evaluates gamma once per t-net point.  Band tests take one band
+column at a time, with the same float operations in the same order as the
+stacked form (see _band_columns).  Point queries (membership,
+Cover.contains, intersection_volume) run in field._blocks, and rasters over
+field._node_blocks, one coordinate column at a time: _unit_frame returns
+contiguous coordinates, as symmetry's maps do (see its column rule), and
 _band_columns' v = x - ybar - s gamma(t0), the lattice index of _Net.query
 and intersection_volume's box scaling are built per coordinate.  Each
 element gets the float operations of the per-point form, so the outputs are
@@ -55,8 +57,8 @@ from .exponents import _finite_q_triple, conj_exponent, inv
 from .field import (Grid, SampledField, _blocks, _field, _integer, _lattice,
                     _node_blocks, _owned, _real, gamma_eval, lp_norm,
                     mixed_norm)
-from .symmetry import (Scale, Shear, Symmetry, Translate, _pack, _point_map,
-                       _scale_diagonal, _scale_jacobians, inverse, map_source,
+from .symmetry import (Scale, Shear, Symmetry, Translate, _pack,
+                       _scale_diagonal, _scale_jacobians, map_source,
                        map_target, shear_matrix)
 from .xray import TransformPlan, bilinear
 
@@ -208,6 +210,28 @@ def _inside(lead, rest, s0, t0, ybar, alpha, beta, side: str, terms=None,
     for col, band in zip(cols, bands):
         ok &= np.abs(col) <= band
     return ok
+
+
+def _unit_frame(B: Paraball, z: np.ndarray, side: str) -> np.ndarray:
+    """The unit-frame images of points z, shape (N, d), read off B's band
+    coordinates: the slab offset over its width and each band column over
+    alpha beta^m (see _band_columns), from B's kept terms.
+
+    They are the images under map_source / map_target of
+    inverse(to_symmetry(B)) as values, not as bits: the group action
+    multiplies by reciprocal widths and, on the dual side, takes powers of
+    t where the band columns take powers of t - t0.  The result is a view
+    of one (d, N) array, each coordinate contiguous, as the maps return.
+    An image past the float range is inf or NaN; the caller screens it.
+    """
+    kept = B._terms
+    slab, cols = _band_columns(z[:, 0], z[:, 1:], B.s0, B.t0, kept.ybar, side,
+                               (kept.gamma, kept.powers))
+    u = np.empty((B.d, len(z)))
+    np.divide(slab, B.alpha if side == "primal" else B.beta, out=u[0])
+    for row, col, band in zip(u[1:], cols, kept.bands):
+        np.divide(col, band, out=row)
+    return u.T
 
 
 def membership(B: Paraball, point, side: str = "primal"):
@@ -496,24 +520,27 @@ class Cover:
 
         Points of shape S + (d,) give an array of shape S; a single point
         gives an array of shape (1,).  Points run in _blocks: each block is
-        mapped to the unit frame and tested against the member found by the
+        taken to the unit frame and tested against the member found by the
         lattice lookup; the points that lookup misses are then tested
         against every member.  A point that is not finite raises ValueError;
         a finite point whose unit-frame image leaves the float range lies
-        outside every member and gives False.  The terms every block shares
-        are built once per call: the unit-frame map's step terms (see
-        symmetry._point_map), the members' bands and, on the primal side,
-        the centre terms of t-net point 0, the only one the lookup takes.
+        outside every member and gives False.
+
+        The unit-frame coordinates are the base's band columns over its
+        widths (see _unit_frame), from the base's kept terms: both sides
+        take one formula, with no power of the point's own t.  They equal
+        the images under the inverse group action as values, not as bits,
+        so an answer can differ from the group action's only for a point
+        within a few ulps of a member's boundary.  The terms every block shares
+        are built once per call: the members' bands and, on the primal
+        side, the centre terms of t-net point 0, the only one the lookup
+        takes.
         """
         _check_side(side)
         d = self.base.d
         z = _pack_points(points, d)
         shape = z.shape[:-1] if z.ndim > 1 else (1,)
         z = z.reshape(-1, d)
-        unit = inverse(to_symmetry(self.base), d)
-        # the map's terms, like the images below, may leave the float range
-        with np.errstate(over="ignore", invalid="ignore"):
-            fmap = _point_map(unit, d, side == "dual")
         a, b = 2.0 * self.eta1, 2.0 * self.eta2
         bands = _scale_diagonal(a, b, d)
         terms = (_centre_terms(self.t_net[0], d, side) if side == "primal"
@@ -523,9 +550,9 @@ class Cover:
         missed = []
         for blk in _blocks(len(z)):
             # a far point's image may overflow; the images are screened
-            # below, and the errstate covers the mapping alone
+            # below, and the errstate covers this step alone
             with np.errstate(over="ignore", invalid="ignore"):
-                u = fmap(z[blk])
+                u = _unit_frame(self.base, z[blk], side)
             keep = slice(None)
             if not np.isfinite(u).all():
                 if not np.isfinite(z[blk]).all():
@@ -741,6 +768,8 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
     descent, subject to volume(B) <= 4 |f|_1 / |f|_inf, with a small volume
     penalty so ties resolve toward the tightest paraball.  Deterministic for
     fixed (starts, seed); ties across starts go to the lowest start index.
+    Each grid's nodes are walked once per fit (field._node_blocks) and kept,
+    N d 8 bytes per grid, for the moments and every score's memberships.
     """
     _field(f, "fit_paraball")
     _field(g, "fit_paraball")
@@ -754,10 +783,12 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
     av = np.abs(f.values)
     budget = 4.0 * float(av.sum()) * f.grid.cell_volume / float(av.max())
 
+    f_nodes, g_nodes = (np.concatenate([nodes for _, nodes in
+                                        _node_blocks(h.grid)])
+                        for h in (f, g))
     w = (av * f.grid.cell_volume).ravel()
-    pts = f.grid.nodes().reshape(-1, d)
-    mu = (w @ pts) / w.sum()
-    var = (w @ (pts - mu) ** 2) / w.sum()
+    mu = (w @ f_nodes) / w.sum()
+    var = (w @ (f_nodes - mu) ** 2) / w.sum()
     sd = np.sqrt(np.maximum(var, 1e-12))
     a0 = max(2.0 * sd[0], 1e-3)
     b0 = min(max(2.0 * sd[1] / a0, 0.05), 4.0)
@@ -771,8 +802,10 @@ def fit_paraball(f: SampledField, g: SampledField, theta, plan: TransformPlan,
         if vol > budget:
             return -np.inf, B
         if B not in pairings:
-            fB = f.values * _node_membership(B, f.grid, "primal")
-            gB = g.values * _node_membership(B, g.grid, "dual")
+            fB = f.values * membership(B, f_nodes, "primal").reshape(
+                f.grid.shape)
+            gB = g.values * membership(B, g_nodes, "dual").reshape(
+                g.grid.shape)
             pairings[B] = bilinear(_owned(f.grid, fB), _owned(g.grid, gB),
                                    plan)
         return pairings[B] * (1.0 - 0.02 * vol / budget), B

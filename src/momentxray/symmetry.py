@@ -22,9 +22,10 @@ result, shape S + (d,), is a view of those rows: each coordinate [..., k]
 is contiguous, which the point queries downstream read column by column.
 A step's terms (Translate's v, Scale's alpha beta^m, Shear's G_{t0} and
 gamma(t0)) are built by ``_point_map`` once per map: once per map_source /
-map_target call, and once per blocked call of the pullbacks and
-Cover.contains, whose blocks all go through one map.  Scale's powers and
-Jacobians are computed only by ``_scale_diagonal`` and
+map_target call, and once per blocked call of the pullbacks, whose blocks
+all go through one map.  (Cover.contains reads its unit-frame coordinates
+off the base paraball's band columns, not through a map.)  Scale's powers
+and Jacobians are computed only by ``_scale_diagonal`` and
 ``_scale_jacobians``, for the maps, pullbacks and paraball geometry alike;
 ``_jacobian_power`` takes a pullback's power of them, through logs when a
 Jacobian leaves the float range.  Every generator parameter is stored as a
@@ -177,9 +178,9 @@ def _point_map(sigma: Symmetry, d: int, target_side: bool):
 
     Each step's terms are built here, once: Translate's column v, Scale's
     diagonal alpha beta^m, Shear's G_{t0}^T and, on the source side,
-    gamma(t0).  The blocked callers (the pullbacks and Cover.contains) build
-    one map per call and run every block through it; each point gets the
-    operations of map_source / map_target.
+    gamma(t0).  Its blocked callers, the pullbacks alone, build one map per
+    call and run every block through it; each point gets the operations of
+    map_source / map_target.
 
     From a Scale whose band alpha beta^m leaves the float range (+inf, see
     ``_scale_diagonal``) on, the map reads an infinity as a number too large

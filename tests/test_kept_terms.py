@@ -287,6 +287,19 @@ class TestContainsAndMembership:
         want = _ref_contains(cover, pts, side)
         assert cover.contains(pts, side).tobytes() == want.tobytes()
 
+    def test_contains_dual_points_of_negative_t(self):
+        # t0 = -0.7, beta = 0.3: every dual t drawn x2 about the shadow
+        # is negative, the case where the group action's powers of t and
+        # the band columns' powers of t - t0 take different numpy kernels
+        B = Paraball(0.3, -0.7, (0.2, -0.4), 0.9, 0.3)
+        cover = partition(B, 0.25, THETA)
+        rng = np.random.default_rng(70)
+        pts = _spread_points(B, rng, 25 * _BLOCK, "dual", 2.0)
+        assert len(pts) >= 100_000 and (pts[:, 0] < 0).mean() > 0.99
+        want = _ref_contains(cover, pts, "dual")
+        assert want.any() and not want.all()
+        assert cover.contains(pts, "dual").tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("side", ["primal", "dual"])
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_membership(self, d, side):
