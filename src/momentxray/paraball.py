@@ -57,8 +57,8 @@ from .exponents import _finite_q_triple, conj_exponent, inv
 from .field import (Grid, SampledField, _blocks, _field, _integer, _lattice,
                     _node_blocks, _owned, _real, gamma_eval, lp_norm,
                     mixed_norm)
-from .symmetry import (Scale, Shear, Symmetry, Translate, _pack,
-                       _scale_diagonal, _scale_jacobians, map_source,
+from .symmetry import (Scale, Shear, Symmetry, Translate, _nonzero_product,
+                       _pack, _scale_diagonal, _scale_jacobians, map_source,
                        map_target, shear_matrix)
 from .xray import TransformPlan, bilinear
 
@@ -325,13 +325,8 @@ def dual_bbox(B: Paraball):
     lo[0], hi[0] = B.t0 - B.beta, B.t0 + B.beta
     c = _scale_diagonal(B.alpha + abs(B.s0), B.beta, d)
     Gabs = np.abs(shear_matrix(d, B.t0).entries)
-    if np.isfinite(c).all():
-        spread = Gabs @ c
-    else:
-        # a band past the float range spreads its rows to +inf; the zeros
-        # of the triangular G are left out, as 0 * inf would give NaN
-        spread = np.array([sum(g * ci for g, ci in zip(row, c) if g)
-                           for row in Gabs])
+    # a band past the float range spreads its rows to +inf
+    spread = Gabs @ c if np.isfinite(c).all() else _nonzero_product(Gabs, c)
     yb = np.asarray(B.ybar)
     lo[1:], hi[1:] = yb - spread, yb + spread
     return lo, hi

@@ -20,10 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exponents import _finite_q_triple, conj_exponent
+from .exponents import _finite_q_triple
 from .field import (_D_MIN, SampledField, _exponent, _field, _integer, _lq,
                     _node_blocks, _owned, _real, _slice_r_norms,
-                    grid_from_box, lp_norm, mixed_norm, write_field)
+                    grid_from_box, lp_norm, write_field)
 from .paraball import raster_primal, unit_paraball
 from .symmetry import normalize_symmetry, pullback_source
 from .xray import TransformPlan, apply_X, apply_X_star
@@ -164,12 +164,13 @@ def _dual_pair(h: SampledField, q, r):
 def _evaluate(values: np.ndarray, plan: TransformPlan, trip,
               it: int = 0) -> SearchState:
     """State at the source values normalized in L^p: h = Xf, Phi = |h|_{q,r}
-    and g the dual map of h.  values is a fresh float array that f takes
-    over (see field._owned): it is divided by its L^p norm in place.  Phi
-    is the dual map's own N: f >= 0, so h >= 0 and N is the float
-    mixed_norm(h, q, r) gives, with one slice-norm pass, not two."""
+    and g the dual map of h.  values is a fresh float array of samples >= 0
+    (a raster, a clipped power or pullback, or two iterates' midpoint);
+    _lq reads it as is, f takes it over (see field._owned), and it is
+    divided in place by its L^p norm.  Phi is the dual map's own N: h >= 0,
+    so N is the float mixed_norm(h, q, r) gives, in one slice-norm pass."""
     grid = plan.source_grid
-    n = float(_lq(np.abs(values), grid.cell_volume, _exponent(trip.p, "p")))
+    n = float(_lq(values, grid.cell_volume, _exponent(trip.p, "p")))
     if n == 0:
         raise ValueError("cannot normalize the zero field")
     values /= n
@@ -290,12 +291,11 @@ def localization_report(f: SampledField, p, R: float) -> float:
 
 def run_search(cfg: SearchConfig) -> SearchReport:
     trip = cfg.exponents()
-    qc, rc = conj_exponent(trip.q), conj_exponent(trip.r)
 
     def log_entry(st: SearchState, renorm: bool) -> dict:
-        return {"iter": st.it, "phi": st.phi, "f_norm": lp_norm(st.f, trip.p),
-                "g_norm": mixed_norm(st.g, qc, rc),
-                "renorm_applied": renorm, "damping_tries": st.damping_tries}
+        # no norms: f and g have unit norm by construction
+        return {"iter": st.it, "phi": st.phi, "renorm_applied": renorm,
+                "damping_tries": st.damping_tries}
 
     state = init_state(cfg)
     history = [log_entry(state, False)]

@@ -129,6 +129,18 @@ def shear_matrix(d: int, t0: float) -> ShearMatrix:
     return ShearMatrix(t0=t0, entries=entries)
 
 
+def _nonzero_product(G: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """G @ rows from G's nonzero entries alone: row m sums G[m, i] rows[i]
+    over the i with G[m, i] != 0, in column order.  For the triangular
+    G_{t0} against an infinite band, a zero entry adds no 0 * inf = NaN."""
+    out = np.zeros(rows.shape)
+    for m, G_row in enumerate(G):
+        for i, g in enumerate(G_row):
+            if g:
+                out[m] += g * rows[i]
+    return out
+
+
 @dataclass(frozen=True)
 class Symmetry:
     """Ordered composition of generators; steps apply first-to-last."""
@@ -185,8 +197,8 @@ def _point_map(sigma: Symmetry, d: int, target_side: bool):
     From a Scale whose band alpha beta^m leaves the float range (+inf, see
     ``_scale_diagonal``) on, the map reads an infinity as a number too large
     to hold, not as a point at infinity: a zero coordinate stays zero under
-    Scale, and the zeros of G_{t0} are left out of Shear's product (as in
-    ``paraball.dual_bbox``), where 0 * inf would give NaN.  A map whose
+    Scale, and Shear sums only G_{t0}'s nonzero entries (_nonzero_product,
+    as in ``paraball.dual_bbox``), so no 0 * inf gives NaN.  A map whose
     bands are all finite runs the plain products, bit for bit.
     """
     steps, wide = [], False
@@ -203,15 +215,7 @@ def _point_map(sigma: Symmetry, d: int, target_side: bool):
                           wide))
 
     def shear(rows, GT, wide):
-        if not wide:
-            return (rows.T @ GT).T
-        # each nonzero entry of G adds its term, in column order
-        out = np.zeros_like(rows)
-        for m, G_row in enumerate(GT.T):
-            for i, g in enumerate(G_row):
-                if g:
-                    out[m] += g * rows[i]
-        return out
+        return _nonzero_product(GT.T, rows) if wide else (rows.T @ GT).T
 
     def apply(point) -> np.ndarray:
         shape, z = _coordinate_rows(point)
@@ -409,11 +413,10 @@ def normalize_symmetry(f: SampledField, p) -> Symmetry:
     if not total > 0:
         raise ValueError("cannot normalize the zero field")
     axes = f.grid.axes()
-    # barycenter in (s, x)
-    mu = np.empty(d)
-    for k in range(d):
-        marg = w.sum(axis=tuple(a for a in range(d) if a != k))
-        mu[k] = (marg * axes[k]).sum() / total
+    # barycenter in (s, x); the s-marginal margs[0] also weighs the s-spread
+    margs = [w.sum(axis=tuple(a for a in range(d) if a != k))
+             for k in range(d)]
+    mu = np.array([(m * ax).sum() / total for m, ax in zip(margs, axes)])
     # covariance-zeroing shear in the (s, x_1) plane
     other = tuple(range(2, d))
     w2 = w.sum(axis=other) if other else w
@@ -423,8 +426,7 @@ def normalize_symmetry(f: SampledField, p) -> Symmetry:
     cov = (w2 * np.outer(s_c, x1_c)).sum() / total
     tau = -cov / var_s if var_s > 1e-12 else 0.0
     # spreads after centering and shearing
-    ws = w.sum(axis=tuple(range(1, d)))
-    rho_s = _weighted_iqr(axes[0], ws)
+    rho_s = _weighted_iqr(axes[0], margs[0])
     x1_sheared = (x1_c[None, :] + tau * s_c[:, None]).ravel()
     rho_x = _weighted_iqr(x1_sheared, w2.ravel())
     a = 1.0 / rho_s if rho_s > 1e-12 else 1.0

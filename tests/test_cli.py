@@ -20,10 +20,13 @@ import momentxray
 from momentxray import cli
 from momentxray.cli import main
 from momentxray.decomposition import combined_decompose, dyadic_decompose
-from momentxray.field import SampledField, grid_from_box, read_field, write_field
+from momentxray.field import (SampledField, grid_from_box, lorentz_mixed_norm,
+                              read_field, write_field)
 from momentxray.paraball import partition
 from momentxray.search import SearchConfig, run_search
-from momentxray.symmetry import normalize_symmetry
+from momentxray.symmetry import (Shear, Symmetry, Translate,
+                                 normalize_symmetry, pullback_target)
+from momentxray.xray import TransformPlan, apply_X_star
 
 UNIT_BALL = "0,0,0,0,1,1"
 
@@ -155,6 +158,25 @@ class TestNorm:
         assert exc.value.code == 2
         assert "--p" in capsys.readouterr().err
 
+    def test_lorentz_of_a_target_field(self, capsys, tmp_path):
+        g = write_bump(tmp_path / "tbump.field", side="target")
+        code, out, _ = run(capsys, ["norm", "--field", "tbump.field",
+                                    "--q", "2", "--r", "3/2", "--s", "3"])
+        assert code == 0
+        want = lorentz_mixed_norm(g, Fraction(2), Fraction(3), Fraction(3, 2))
+        assert line_value(out, "lorentz") == cli._fmt(want)
+
+    @pytest.mark.parametrize("given", [[], ["--q", "2"], ["--r", "2"]],
+                             ids=["neither", "q-only", "r-only"])
+    def test_target_field_needs_q_and_r(self, capsys, tmp_path, given):
+        write_cube(tmp_path / "tcube.field", side="target")
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--field", "tcube.field", *given])
+        assert exc.value.code == 2
+        assert "target-side fields need --q and --r" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "momentxray_run.json").exists()
+
 
 class TestTransform:
     def test_forward_writes_target_field(self, capsys, tmp_path):
@@ -198,6 +220,28 @@ class TestTransform:
             main(["transform", "--field", "cube.field", "--out", "o.field",
                   "--direction", "adjoint"])
         assert exc.value.code == 2
+
+    def test_adjoint_writes_apply_X_star(self, capsys, tmp_path):
+        g = write_bump(tmp_path / "tbump.field", side="target")
+        code, out, _ = run(capsys, ["transform", "--field", "tbump.field",
+                                    "--out", "xs.field",
+                                    "--direction", "adjoint"])
+        assert code == 0
+        assert "wrote xs.field" in out
+        src = grid_from_box(3, "source", -1.0, 1.0, 10)
+        write_field(apply_X_star(g, TransformPlan(src, g.grid)),
+                    str(tmp_path / "want.field"))
+        assert (tmp_path / "xs.field").read_bytes() == \
+            (tmp_path / "want.field").read_bytes()
+
+    def test_forward_needs_source_side(self, capsys, tmp_path):
+        write_cube(tmp_path / "tcube.field", side="target")
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--field", "tcube.field", "--out", "o.field"])
+        assert exc.value.code == 2
+        assert "forward transform needs a source-side field" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o.field").exists()
 
 
 class TestSymmetry:
@@ -248,6 +292,40 @@ class TestSymmetry:
             main(["symmetry", "--field", "bump.field",
                   "--step", "scale:2,1", "--p", "3/2"])
         assert exc.value.code == 2
+
+    def test_target_pullback_writes_pullback_target(self, capsys, tmp_path):
+        g = write_bump(tmp_path / "tbump.field", side="target")
+        code, out, _ = run(capsys, ["symmetry", "--field", "tbump.field",
+                                    "--step", "translate:0.2,-0.1",
+                                    "--step", "shear:0.3,0.1",
+                                    "--q", "2", "--r", "3/2",
+                                    "--out", "moved.field"])
+        assert code == 0
+        assert "wrote moved.field" in out
+        sig = Symmetry((Translate((0.2, -0.1)), Shear(0.3, 0.1)))
+        write_field(pullback_target(sig, g, Fraction(2), Fraction(3, 2)),
+                    str(tmp_path / "want.field"))
+        assert (tmp_path / "moved.field").read_bytes() == \
+            (tmp_path / "want.field").read_bytes()
+
+    @pytest.mark.parametrize("side,given,message", [
+        ("source", ["--q", "2", "--r", "2"], "source-side pullback needs --p"),
+        ("target", ["--q", "2"], "target-side pullback needs --q and --r"),
+        ("target", ["--p", "3/2", "--r", "2"],
+         "target-side pullback needs --q and --r"),
+        ("target", ["--p", "3/2", "--normalize"],
+         "--normalize needs a source-side field and --p"),
+    ], ids=["source-no-p", "target-no-r", "target-no-q", "normalize-target"])
+    def test_pullback_exponent_refusals(self, capsys, tmp_path, side, given,
+                                        message):
+        write_bump(tmp_path / "bump.field", side=side)
+        with pytest.raises(SystemExit) as exc:
+            main(["symmetry", "--field", "bump.field",
+                  "--step", "translate:0.2,-0.1", "--out", "o.field", *given])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.field").exists()
+        assert not (tmp_path / "momentxray_run.json").exists()
 
     def test_bad_step_spec_rejected(self, capsys, tmp_path):
         write_bump(tmp_path / "bump.field")

@@ -161,6 +161,22 @@ class TestInterpConstants:
         with pytest.raises(ValueError):
             interp_constants(e0, e0, F(1, 2))
 
+    @pytest.mark.parametrize("theta", [F(0), F(1), F(3, 2), F(-1, 2)])
+    def test_theta_outside_the_open_interval(self, theta):
+        e0, e1 = _d3_endpoints()
+        with pytest.raises(ValueError, match=r"^theta must lie in \(0, 1\), "
+                           f"got {theta}$"):
+            interp_constants(e0, e1, theta)
+
+    @pytest.mark.parametrize("endpoint", [
+        ExponentTriple(1, 2, 2), ExponentTriple(F(3, 2), INF, 2)],
+        ids=["p-one", "q-inf"])
+    def test_endpoint_not_finite_above_one(self, endpoint):
+        _, e1 = _d3_endpoints()
+        with pytest.raises(ValueError, match="^endpoint exponents must be "
+                           "finite and > 1$"):
+            interp_constants(endpoint, e1, F(1, 2))
+
     @given(st.fractions(min_value=F(1, 20), max_value=F(19, 20),
                         max_denominator=24))
     @settings(max_examples=40)

@@ -140,6 +140,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             grid_from_box(3, "middle", [0, 0, 0], [1, 1, 1], [4, 4, 4])
 
+    @pytest.mark.parametrize("short", ["origin", "spacing", "counts"])
+    def test_rejects_lengths_other_than_d(self, short):
+        kw = dict(origin=(0.0,) * 3, spacing=(0.5,) * 3, counts=(4,) * 3)
+        kw[short] = kw[short][:2]
+        with pytest.raises(ValueError, match="^origin, spacing, counts must "
+                           "all have length d$"):
+            Grid(3, "source", **kw)
+
     def test_nodes_are_cell_centers(self):
         g = grid_from_box(3, "source", [0, 0, 0], [1, 1, 1], [4, 4, 4])
         ax = g.axis_nodes(0)
@@ -483,6 +491,13 @@ class TestInterpolate:
         f = const_field("source", 0, 1, 4)
         far = np.array([[10.0, 0.5, 0.5]])
         assert interpolate(f, far)[0] == 0.0
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_rejects_points_of_another_dimension(self, width):
+        f = const_field("source", 0, 1, 4)
+        with pytest.raises(ValueError,
+                           match="^points must have last dimension 3$"):
+            interpolate(f, np.zeros((5, width)))
 
     def test_linear_in_values(self):
         rng = np.random.default_rng(43)

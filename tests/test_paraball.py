@@ -492,6 +492,27 @@ class TestSymmetryBridge:
         with pytest.raises(ValueError, match=match):
             sample_points(unit_paraball(D), n, rng, side)
 
+    @pytest.mark.parametrize("sigma", [identity(), Symmetry((Scale(2, 1),))],
+                             ids=["identity", "scale-only"])
+    def test_from_symmetry_needs_d_without_a_translate(self, sigma):
+        with pytest.raises(ValueError, match="^cannot infer dimension; "
+                           "pass d explicitly$"):
+            from_symmetry(sigma)
+
+    def test_one_ybar_component_rejected(self):
+        with pytest.raises(ValueError, match=r"^ybar must have at least 2 "
+                           r"components \(d >= 3\)$"):
+            Paraball(0.0, 0.0, (0.5,), 1.0, 1.0)
+
+    @pytest.mark.parametrize("raster,side,match", [
+        (raster_primal, "target", "^primal raster needs a source grid$"),
+        (raster_dual, "source", "^dual raster needs a target grid$")],
+        ids=["primal-on-target", "dual-on-source"])
+    def test_raster_on_the_wrong_side_rejected(self, raster, side, match):
+        grid = grid_from_box(D, side, -1.0, 1.0, 4)
+        with pytest.raises(ValueError, match=match):
+            raster(unit_paraball(D), grid)
+
 
 def _corners(d):
     g = np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij")
@@ -604,6 +625,11 @@ class TestPartition:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             partition(unit_paraball(D), 0.0, THETA)
+
+    def test_rejects_delta_above_one(self):
+        with pytest.raises(ValueError,
+                           match=r"^delta must lie in \(0, 1\], got 2.0$"):
+            partition(unit_paraball(D), 2, THETA)
 
     @pytest.mark.parametrize("d,delta", [(3, 0.5), (3, 0.25), (4, 0.5)])
     def test_contains_matches_members_beyond_the_base(self, d, delta):

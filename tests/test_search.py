@@ -26,7 +26,8 @@ from momentxray.search import (
     renormalize_state,
     run_search,
 )
-from momentxray import xray
+from momentxray import field, search, xray
+from momentxray.symmetry import Symmetry
 from momentxray.xray import apply_X, bilinear
 
 from conftest import box_grid, non_reals
@@ -155,6 +156,14 @@ class TestAscent:
         rn = renormalize_state(st, cfg)
         assert rn.phi >= st.phi - PHI_SLACK
 
+    def test_renormalize_keeps_the_state_at_an_identity_normal_form(
+            self, monkeypatch):
+        cfg = SearchConfig(counts=8, seed=1)
+        st = init_state(cfg)
+        monkeypatch.setattr("momentxray.search.normalize_symmetry",
+                            lambda f, p: Symmetry(()))
+        assert renormalize_state(st, cfg) is st
+
 
 class TestRunSearch:
     def test_zero_iters_echoes_init(self, tmp_path):
@@ -209,6 +218,33 @@ class TestRunSearch:
         assert reason(max_iters=2) == "max_iters"
         monkeypatch.setattr("momentxray.search.apply_X_star", _no_positive_part)
         assert reason() == "stalled"
+
+    def test_log_keys(self, tmp_path):
+        # f and g sit on their unit spheres by construction (see
+        # _evaluate and dual_map), so the log carries no norms
+        run_search(SearchConfig(counts=12, seed=3, out_dir=str(tmp_path)))
+        lines = (tmp_path / "search_log.jsonl").read_text().splitlines()
+        assert len(lines) > 1
+        for ln in lines:
+            assert set(json.loads(ln)) == {"iter", "phi", "renorm_applied",
+                                           "damping_tries"}
+
+    def test_one_norm_pass_per_run(self, monkeypatch):
+        # r95's profile takes the run's one lp_norm; no step takes a
+        # mixed_norm, as Phi is the dual map's own N
+        calls = []
+        for name in ("lp_norm", "mixed_norm"):
+            norm = getattr(field, name)
+
+            def counting(*args, _name=name, _norm=norm):
+                calls.append(_name)
+                return _norm(*args)
+
+            for module in (search, field):
+                monkeypatch.setattr(module, name, counting, raising=False)
+        rep = run_search(SearchConfig(counts=12, seed=3, renorm_every=2))
+        assert rep.iters >= 4
+        assert calls == ["lp_norm"]
 
     def test_log_records_damping_tries(self, tmp_path):
         cfg = SearchConfig(counts=12, seed=3, out_dir=str(tmp_path))

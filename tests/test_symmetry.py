@@ -129,6 +129,10 @@ class TestPointMaps:
 
 
 class TestComposeInverse:
+    def test_unknown_generator_rejected(self):
+        with pytest.raises(TypeError, match="^unknown generator <object"):
+            Symmetry((object(),))
+
     def test_compose_with_identity(self):
         rng = np.random.default_rng(12)
         sig = random_symmetry(rng)

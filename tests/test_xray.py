@@ -858,6 +858,15 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             TransformPlan(sg, sg)
 
+    @pytest.mark.parametrize("side,d,message", [
+        ("source", D, "target_grid must be target-side"),
+        ("target", 4, "plan grids must share the dimension d")],
+        ids=["target-side", "dimension"])
+    def test_target_grid_refusals(self, side, d, message):
+        sg = box_grid("source", -1, 1, 8)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransformPlan(sg, box_grid(side, -1, 1, 8, d=d))
+
     def test_numpy_integer_quad_accepted(self):
         sg = box_grid("source", -1, 1, 8)
         tg = box_grid("target", -1, 1, 8)
